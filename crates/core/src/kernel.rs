@@ -338,6 +338,11 @@ impl Kernel {
         self.mapping.stats()
     }
 
+    /// The global mapping table (for footprint and state inspection).
+    pub fn mapping_table(&self) -> &MappingTable {
+        &self.mapping
+    }
+
     /// Hardware TLB statistics (hits, kernel-handled refills,
     /// shootdowns).
     pub fn tlb_stats(&self) -> crate::translate::TlbStats {
@@ -937,7 +942,8 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Fails atomically per page (earlier pages stay migrated) with
+    /// Fails atomically per page (earlier pages stay migrated, and the
+    /// `Migrate` trace event counts only them) with
     /// [`KernelError::PageNotPresent`], [`KernelError::DestinationOccupied`],
     /// [`KernelError::PageOutOfRange`], [`KernelError::PageSizeMismatch`] or
     /// [`KernelError::UnknownSegment`].
@@ -974,17 +980,24 @@ impl Kernel {
     ) -> Result<(), KernelError> {
         self.stats.migrate_calls += 1;
         self.clock.advance(call_cost + self.costs.migrate_base);
-        for i in 0..count {
+        let mut moved = 0;
+        let result = (0..count).try_for_each(|i| {
             self.migrate_one(src, dst, src_page.offset(i), dst_page.offset(i), set, clear)?;
             self.stats.pages_migrated += 1;
             self.clock.advance(self.costs.migrate_per_page);
-        }
-        self.trace(EventKind::Migrate {
-            from_segment: src.0 as u64,
-            to_segment: dst.0 as u64,
-            pages: count,
+            moved += 1;
+            Ok(())
         });
-        Ok(())
+        // A call failing partway still traces the pages it moved, so the
+        // trace and `pages_migrated` agree.
+        if result.is_ok() || moved > 0 {
+            self.trace(EventKind::Migrate {
+                from_segment: src.0 as u64,
+                to_segment: dst.0 as u64,
+                pages: moved,
+            });
+        }
+        result
     }
 
     fn migrate_one(
@@ -2652,6 +2665,41 @@ mod tests {
         alloc(&mut k, seg, 0, 1);
         let cost = k.now().duration_since(before);
         assert_eq!(cost, k.costs().migrate_pages(1));
+    }
+
+    #[test]
+    fn partial_migrate_traces_the_pages_it_moved() {
+        for k_th in [0u64, 1, 3, 7] {
+            let mut k = kernel();
+            let tracer = SharedTracer::with_capacity(64);
+            k.set_tracer(tracer.clone());
+            let dst = anon_segment(&mut k, 8);
+            alloc(&mut k, dst, k_th, 1);
+            let err = k
+                .migrate_pages(
+                    SegmentId::FRAME_POOL,
+                    dst,
+                    PageNumber(32),
+                    PageNumber(0),
+                    8,
+                    PageFlags::RW,
+                    PageFlags::empty(),
+                )
+                .unwrap_err();
+            assert!(matches!(err, KernelError::DestinationOccupied { .. }));
+            let traced: Vec<u64> = tracer
+                .events()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Migrate { pages, .. } => Some(pages),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(k.stats().pages_migrated, 1 + k_th);
+            assert_eq!(traced.iter().sum::<u64>(), k.stats().pages_migrated);
+            // A call that moved nothing leaves no event behind.
+            assert_eq!(traced.len(), if k_th == 0 { 1 } else { 2 });
+        }
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! falls back to walking the segment/bound-region structures and refills
 //! the table. Hit/miss/displacement statistics feed the extended analyses
 //! in EXPERIMENTS.md.
+//!
+//! The table behaves exactly as that dense 64 K-slot array, but its storage
+//! is allocated per leaf of 16 slots on the first install into the leaf: a
+//! machine holding a few dozen translations does not build or hold 64 K
+//! empty slots.
 
 use std::fmt;
 
@@ -51,7 +56,20 @@ impl MappingStats {
     }
 }
 
+/// Slots per leaf of the table's storage.
+const LEAF_SLOTS: usize = 16;
+
+/// One leaf: a run of `LEAF_SLOTS` consecutive direct-mapped slots,
+/// allocated on the first install into any of them.
+type Leaf = [Option<Entry>; LEAF_SLOTS];
+
 /// The direct-mapped global hash table with a small overflow area.
+///
+/// The slots are stored in 16-slot leaves found through a directory. A
+/// leaf is allocated by the first [`MappingTable::install`] that hashes
+/// into it, never by a lookup or removal; hashing, collisions,
+/// displacement into overflow and statistics are those of a dense slot
+/// array.
 ///
 /// # Example
 ///
@@ -62,10 +80,16 @@ impl MappingStats {
 /// let mut table = MappingTable::vpp_default();
 /// // The kernel installs and looks up mappings as part of reference():
 /// assert_eq!(table.stats().lookups(), 0);
+/// assert_eq!(table.allocated_slots(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MappingTable {
-    slots: Vec<Option<Entry>>,
+    /// One entry per `LEAF_SLOTS` slots: 0 while they have no leaf, else
+    /// one more than their leaf's index in `leaves`.
+    directory: Vec<u32>,
+    /// The allocated leaves, in allocation order.
+    leaves: Vec<Leaf>,
+    slots: usize,
     overflow: Vec<Entry>,
     overflow_capacity: usize,
     stats: MappingStats,
@@ -82,11 +106,20 @@ impl MappingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is zero.
+    /// Panics if `slots` is zero, or too large for `u32` leaf numbers.
     pub fn with_capacity(slots: usize, overflow: usize) -> Self {
         assert!(slots > 0, "mapping table needs at least one slot");
+        let leaves = slots.div_ceil(LEAF_SLOTS);
+        assert!(
+            u32::try_from(leaves).is_ok(),
+            "too many mapping-table slots"
+        );
         MappingTable {
-            slots: vec![None; slots],
+            // An all-zero directory comes from zeroed allocator memory and
+            // is not written here.
+            directory: vec![0; leaves],
+            leaves: Vec::new(),
+            slots,
             overflow: Vec::with_capacity(overflow),
             overflow_capacity: overflow,
             stats: MappingStats::default(),
@@ -98,13 +131,24 @@ impl MappingTable {
         // the sequential page numbers segments produce.
         let key = ((segment.as_u32() as u64) << 40) ^ page;
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % self.slots.len()
+        (h >> 32) as usize % self.slots
+    }
+
+    /// Index into `leaves` of the leaf holding slot `idx`, if allocated.
+    fn leaf_of(&self, idx: usize) -> Option<usize> {
+        match self.directory[idx / LEAF_SLOTS] {
+            0 => None,
+            n => Some(n as usize - 1),
+        }
     }
 
     /// Looks up a translation, updating hit/miss statistics.
     pub fn lookup(&mut self, segment: SegmentId, page: PageNumber) -> Option<FrameId> {
         let idx = self.slot_index(segment, page.as_u64());
-        if let Some(e) = self.slots[idx] {
+        if let Some(e) = self
+            .leaf_of(idx)
+            .and_then(|leaf| self.leaves[leaf][idx % LEAF_SLOTS])
+        {
             if e.segment == segment && e.page == page.as_u64() {
                 self.stats.direct_hits += 1;
                 return Some(e.frame);
@@ -132,21 +176,29 @@ impl MappingTable {
             page: page.as_u64(),
             frame,
         };
-        match self.slots[idx] {
-            Some(old) if old.segment == segment && old.page == page.as_u64() => {
-                self.slots[idx] = Some(new);
+        let leaf = match self.leaf_of(idx) {
+            Some(leaf) => leaf,
+            None => {
+                self.leaves.push([None; LEAF_SLOTS]);
+                // Fits: there are at most `directory.len()` leaves, which
+                // `with_capacity` checked against `u32`.
+                self.directory[idx / LEAF_SLOTS] = self.leaves.len() as u32;
+                self.leaves.len() - 1
             }
-            Some(old) => {
+        };
+        let slot = &mut self.leaves[leaf][idx % LEAF_SLOTS];
+        match *slot {
+            Some(old) if old.segment != segment || old.page != page.as_u64() => {
                 self.stats.displacements += 1;
                 if self.overflow.len() < self.overflow_capacity {
                     self.overflow.push(old);
                 } else {
                     self.stats.overflow_evictions += 1;
                 }
-                self.slots[idx] = Some(new);
             }
-            None => self.slots[idx] = Some(new),
+            _ => {}
         }
+        *slot = Some(new);
         // Drop any stale overflow copy of this key.
         self.overflow
             .retain(|e| !(e.segment == segment && e.page == page.as_u64() && e.frame != frame));
@@ -155,9 +207,10 @@ impl MappingTable {
     /// Removes a translation if present (on unmap/migration-out).
     pub fn remove(&mut self, segment: SegmentId, page: PageNumber) {
         let idx = self.slot_index(segment, page.as_u64());
-        if let Some(e) = self.slots[idx] {
-            if e.segment == segment && e.page == page.as_u64() {
-                self.slots[idx] = None;
+        if let Some(leaf) = self.leaf_of(idx) {
+            let slot = &mut self.leaves[leaf][idx % LEAF_SLOTS];
+            if matches!(slot, Some(e) if e.segment == segment && e.page == page.as_u64()) {
+                *slot = None;
             }
         }
         self.overflow
@@ -166,12 +219,18 @@ impl MappingTable {
 
     /// Removes every translation belonging to `segment` (segment deletion).
     pub fn remove_segment(&mut self, segment: SegmentId) {
-        for slot in &mut self.slots {
+        for slot in self.leaves.iter_mut().flatten() {
             if matches!(slot, Some(e) if e.segment == segment) {
                 *slot = None;
             }
         }
         self.overflow.retain(|e| e.segment != segment);
+    }
+
+    /// Direct-mapped slots backed by allocated storage: a multiple of the
+    /// leaf size, zero for a table nothing has been installed into.
+    pub fn allocated_slots(&self) -> usize {
+        self.leaves.len() * LEAF_SLOTS
     }
 
     /// Current statistics.
@@ -187,11 +246,11 @@ impl MappingTable {
 
 impl fmt::Display for MappingTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let used = self.slots.iter().filter(|s| s.is_some()).count();
+        let used = self.leaves.iter().flatten().filter(|s| s.is_some()).count();
         write!(
             f,
             "mapping table: {used}/{} slots, {} overflow, hit rate {:.3}",
-            self.slots.len(),
+            self.slots,
             self.overflow.len(),
             self.stats.hit_rate()
         )
@@ -291,8 +350,201 @@ mod tests {
     #[test]
     fn vpp_default_dimensions() {
         let m = MappingTable::vpp_default();
-        assert_eq!(m.slots.len(), 65_536);
+        assert_eq!(m.slots, 65_536);
+        assert_eq!(m.directory.len(), 65_536 / LEAF_SLOTS);
         assert_eq!(m.overflow_capacity, 32);
+    }
+
+    #[test]
+    fn storage_grows_only_with_installs() {
+        let mut m = MappingTable::vpp_default();
+        assert_eq!(m.allocated_slots(), 0, "a fresh table allocates no leaf");
+        for p in 0..64 {
+            assert_eq!(m.lookup(SegmentId(1), PageNumber(p)), None);
+            m.remove(SegmentId(1), PageNumber(p));
+        }
+        m.remove_segment(SegmentId(1));
+        assert_eq!(
+            m.allocated_slots(),
+            0,
+            "lookups and removals allocate nothing"
+        );
+        for n in 1..=40u64 {
+            m.install(SegmentId(2), PageNumber(n * 7), FrameId(n as u32));
+            assert!(m.allocated_slots() <= n as usize * LEAF_SLOTS);
+        }
+        assert!(m.allocated_slots() > 0);
+        // Re-installing a resident key touches an existing leaf.
+        let before = m.allocated_slots();
+        m.install(SegmentId(2), PageNumber(7), FrameId(99));
+        assert_eq!(m.allocated_slots(), before);
+    }
+
+    mod props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// The dense reference: the paper's table as a flat slot array.
+        struct Dense {
+            slots: Vec<Option<Entry>>,
+            overflow: Vec<Entry>,
+            overflow_capacity: usize,
+            stats: MappingStats,
+        }
+
+        impl Dense {
+            fn new(slots: usize, overflow: usize) -> Dense {
+                Dense {
+                    slots: vec![None; slots],
+                    overflow: Vec::new(),
+                    overflow_capacity: overflow,
+                    stats: MappingStats::default(),
+                }
+            }
+
+            fn idx(&self, segment: SegmentId, page: u64) -> usize {
+                let key = ((segment.as_u32() as u64) << 40) ^ page;
+                (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.slots.len()
+            }
+
+            fn lookup(&mut self, segment: SegmentId, page: u64) -> Option<FrameId> {
+                let hit = |e: &Entry| e.segment == segment && e.page == page;
+                if let Some(e) = self.slots[self.idx(segment, page)].filter(hit) {
+                    self.stats.direct_hits += 1;
+                    return Some(e.frame);
+                }
+                if let Some(e) = self.overflow.iter().find(|e| hit(e)) {
+                    self.stats.overflow_hits += 1;
+                    return Some(e.frame);
+                }
+                self.stats.misses += 1;
+                None
+            }
+
+            fn install(&mut self, segment: SegmentId, page: u64, frame: FrameId) {
+                let idx = self.idx(segment, page);
+                if let Some(old) = self.slots[idx] {
+                    if old.segment != segment || old.page != page {
+                        self.stats.displacements += 1;
+                        if self.overflow.len() < self.overflow_capacity {
+                            self.overflow.push(old);
+                        } else {
+                            self.stats.overflow_evictions += 1;
+                        }
+                    }
+                }
+                self.slots[idx] = Some(Entry {
+                    segment,
+                    page,
+                    frame,
+                });
+                self.overflow
+                    .retain(|e| !(e.segment == segment && e.page == page && e.frame != frame));
+            }
+
+            fn remove(&mut self, segment: SegmentId, page: u64) {
+                let idx = self.idx(segment, page);
+                if matches!(self.slots[idx], Some(e) if e.segment == segment && e.page == page) {
+                    self.slots[idx] = None;
+                }
+                self.overflow
+                    .retain(|e| !(e.segment == segment && e.page == page));
+            }
+
+            fn remove_segment(&mut self, segment: SegmentId) {
+                for slot in &mut self.slots {
+                    if matches!(slot, Some(e) if e.segment == segment) {
+                        *slot = None;
+                    }
+                }
+                self.overflow.retain(|e| e.segment != segment);
+            }
+
+            fn render(&self) -> String {
+                format!(
+                    "mapping table: {}/{} slots, {} overflow, hit rate {:.3}",
+                    self.slots.iter().filter(|s| s.is_some()).count(),
+                    self.slots.len(),
+                    self.overflow.len(),
+                    self.stats.hit_rate()
+                )
+            }
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Install(u32, u64, u32),
+            Lookup(u32, u64),
+            Remove(u32, u64),
+            RemoveSegment(u32),
+            ResetStats,
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            // Few segments and pages, so small tables collide constantly
+            // and lookups often find what was installed; installs and
+            // lookups are listed twice to make them the common ops.
+            prop_oneof![
+                (0u32..4, 0u64..48, 0u32..1000).prop_map(|(s, p, f)| Op::Install(s, p, f)),
+                (0u32..4, 0u64..48, 0u32..1000).prop_map(|(s, p, f)| Op::Install(s, p, f)),
+                (0u32..4, 0u64..48).prop_map(|(s, p)| Op::Lookup(s, p)),
+                (0u32..4, 0u64..48).prop_map(|(s, p)| Op::Lookup(s, p)),
+                (0u32..4, 0u64..48).prop_map(|(s, p)| Op::Remove(s, p)),
+                (0u32..4).prop_map(Op::RemoveSegment),
+                Just(Op::ResetStats),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn lazy_table_matches_dense_reference(
+                slots in prop_oneof![Just(1usize), Just(16), Just(1000), Just(65_536)],
+                overflow in prop_oneof![Just(0usize), Just(1), Just(32)],
+                ops in proptest::collection::vec(op(), 0..160),
+            ) {
+                let mut table = MappingTable::with_capacity(slots, overflow);
+                let mut dense = Dense::new(slots, overflow);
+                for (step, &op) in ops.iter().enumerate() {
+                    match op {
+                        Op::Install(s, p, f) => {
+                            table.install(SegmentId(s), PageNumber(p), FrameId(f));
+                            dense.install(SegmentId(s), p, FrameId(f));
+                        }
+                        Op::Lookup(s, p) => prop_assert_eq!(
+                            table.lookup(SegmentId(s), PageNumber(p)),
+                            dense.lookup(SegmentId(s), p),
+                            "lookup at step {}", step
+                        ),
+                        Op::Remove(s, p) => {
+                            table.remove(SegmentId(s), PageNumber(p));
+                            dense.remove(SegmentId(s), p);
+                        }
+                        Op::RemoveSegment(s) => {
+                            table.remove_segment(SegmentId(s));
+                            dense.remove_segment(SegmentId(s));
+                        }
+                        Op::ResetStats => {
+                            table.reset_stats();
+                            dense.stats = MappingStats::default();
+                        }
+                    }
+                    prop_assert_eq!(table.stats(), dense.stats, "stats at step {}", step);
+                    prop_assert_eq!(table.to_string(), dense.render(), "display at step {}", step);
+                }
+                // Every key resolves the same way at the end.
+                for s in 0..4 {
+                    for p in 0..48 {
+                        prop_assert_eq!(
+                            table.lookup(SegmentId(s), PageNumber(p)),
+                            dense.lookup(SegmentId(s), p)
+                        );
+                    }
+                }
+                prop_assert_eq!(table.stats(), dense.stats);
+            }
+        }
     }
 }
 

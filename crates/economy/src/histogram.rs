@@ -138,10 +138,12 @@ mod tests {
         // total of u64::MAX / 500 overflowed at q_milli = 990 and the
         // rank wrapped to a tiny value, reporting the first non-empty
         // bucket as every quantile.
+        // The total is odd, so the median rank `ceil(total/2)` needs the
+        // larger half in bucket 4.
         let total = u64::MAX / 500;
         let mut h = LatencyHistogram::new();
-        h.counts[4] = total / 2;
-        h.counts[40] = total - total / 2;
+        h.counts[4] = total - total / 2;
+        h.counts[40] = total / 2;
         h.total = total;
         assert_eq!(h.quantile_milli(500), BUCKET_BOUNDS_US[4]);
         assert_eq!(h.quantile_milli(990), BUCKET_BOUNDS_US[40]);

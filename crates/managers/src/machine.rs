@@ -1339,6 +1339,26 @@ mod tests {
     }
 
     #[test]
+    fn small_machine_does_not_pay_for_the_whole_mapping_table() {
+        let m = Machine::builder(32).build();
+        assert_eq!(m.kernel().mapping_table().allocated_slots(), 0);
+        let mut m = Machine::with_default_manager(32);
+        let seg = m.create_segment(SegmentKind::Anonymous, 24).unwrap();
+        for p in 0..24 {
+            m.touch(seg, p, AccessKind::Write).unwrap();
+        }
+        // Translations are installed by migrations and by reference
+        // refills; each allocates at most one 16-slot leaf.
+        let installs = m.kernel_stats().pages_migrated + 24;
+        let allocated = m.kernel().mapping_table().allocated_slots() as u64;
+        assert!(
+            allocated > 0 && allocated <= installs * 16,
+            "{allocated} slots"
+        );
+        assert!(allocated < 65_536 / 8, "{allocated} slots");
+    }
+
+    #[test]
     fn create_segment_without_default_manager_fails() {
         let mut m = Machine::new(64);
         assert!(matches!(
