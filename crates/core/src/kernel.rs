@@ -238,29 +238,29 @@ impl Kernel {
             frames as u64,
             "tier layout must cover the frame pool exactly"
         );
-        let table = FrameTable::new(frames);
-        let mut boot = Segment::new(
+        // One pass: boot page i holds frame i, and frame i is owned by
+        // that slot.
+        let mut frames_table = FrameTable::new(frames);
+        let pages = (0..frames as u32)
+            .map(|i| {
+                let frame = FrameId(i);
+                let page = PageNumber(u64::from(i));
+                frames_table.set_owner(frame, Some((SegmentId::FRAME_POOL, page)));
+                Some(PageEntry {
+                    frame,
+                    flags: PageFlags::RW,
+                })
+            })
+            .collect();
+        let boot = Segment::new(
             SegmentId::FRAME_POOL,
             SegmentKind::FramePool,
             UserId::SYSTEM,
             ManagerId::SYSTEM,
             1,
             frames as u64,
-        );
-        let mut frames_table = table;
-        for id in frames_table.ids().collect::<Vec<_>>() {
-            boot.insert_entry(
-                PageNumber(id.index() as u64),
-                PageEntry {
-                    frame: id,
-                    flags: PageFlags::RW,
-                },
-            );
-            frames_table.set_owner(
-                id,
-                Some((SegmentId::FRAME_POOL, PageNumber(id.index() as u64))),
-            );
-        }
+        )
+        .with_pages(pages);
         let mut segments = BTreeMap::new();
         segments.insert(0, boot);
         Kernel {
@@ -614,14 +614,22 @@ impl Kernel {
                 dst_pages: tgt_pf,
             });
         }
-        if at.as_u64() + pages > seg_size {
+        if at
+            .as_u64()
+            .checked_add(pages)
+            .is_none_or(|end| end > seg_size)
+        {
             return Err(KernelError::PageOutOfRange {
                 segment: seg,
                 page: at,
                 size: seg_size,
             });
         }
-        if target_page.as_u64() + pages > tgt_size {
+        if target_page
+            .as_u64()
+            .checked_add(pages)
+            .is_none_or(|end| end > tgt_size)
+        {
             return Err(KernelError::PageOutOfRange {
                 segment: target,
                 page: target_page,
@@ -2102,12 +2110,21 @@ mod tests {
 
     #[test]
     fn boot_segment_holds_all_frames_in_order() {
-        let k = kernel();
-        let boot = k.segment(SegmentId::FRAME_POOL).unwrap();
-        assert_eq!(boot.resident_pages(), 64);
-        for (p, e) in boot.resident() {
-            assert_eq!(p.as_u64(), e.frame.index() as u64);
-            assert_eq!(e.frame.phys_addr(), p.as_u64() * BASE_PAGE_SIZE);
+        for n in [1usize, 32, 64, 32_768] {
+            let k = Kernel::new(n);
+            let boot = k.segment(SegmentId::FRAME_POOL).unwrap();
+            assert_eq!(boot.resident_pages(), n as u64);
+            assert_eq!(boot.size_pages(), n as u64);
+            let mut count = 0;
+            for (i, (p, e)) in boot.resident().enumerate() {
+                assert_eq!(p, PageNumber(i as u64));
+                assert_eq!(e.frame, FrameId(i as u32));
+                assert_eq!(e.frame.phys_addr(), p.as_u64() * BASE_PAGE_SIZE);
+                assert_eq!(e.flags, PageFlags::RW);
+                assert_eq!(k.frames().owner(e.frame), Some((SegmentId::FRAME_POOL, p)));
+                count += 1;
+            }
+            assert_eq!(count, n);
         }
     }
 
@@ -2390,6 +2407,34 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, KernelError::PageSizeMismatch { .. }));
+    }
+
+    #[test]
+    fn binding_a_wrapping_range_is_rejected() {
+        let mut k = kernel();
+        let a = anon_segment(&mut k, 8);
+        let b = anon_segment(&mut k, 8);
+        // `at + pages` wraps past u64::MAX in the binding segment, then
+        // `target_page + pages` in the target.
+        for (at, pages, target_page, bad) in [(5, u64::MAX, 0, a), (0, 4, u64::MAX - 1, b)] {
+            let err = k
+                .bind_region(
+                    a,
+                    PageNumber(at),
+                    pages,
+                    b,
+                    PageNumber(target_page),
+                    false,
+                    PageFlags::RW,
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, KernelError::PageOutOfRange { segment, .. } if segment == bad),
+                "{err:?}"
+            );
+        }
+        assert!(k.segment(a).unwrap().regions().is_empty());
+        assert!(k.segment(b).unwrap().regions().is_empty());
     }
 
     #[test]

@@ -1113,7 +1113,7 @@ impl DefaultSegmentManager {
             self.wb_stats.dirty_victim_us += env.kernel.now().duration_since(before).as_micros();
         }
         // Destination: first empty slot in the free segment.
-        let slot = first_empty_slot(env.kernel, free_seg)?;
+        let slot = env.kernel.segment(free_seg)?.first_vacant();
         self.op_migrate_pages(
             env,
             seg,
@@ -1971,19 +1971,6 @@ fn find_free_run(
     Ok(best.map(|(start, len)| (PageNumber(start), len.min(want))))
 }
 
-/// First page slot in `seg` holding no frame.
-fn first_empty_slot(kernel: &Kernel, seg: SegmentId) -> Result<PageNumber, epcm_core::KernelError> {
-    let s = kernel.segment(seg)?;
-    let mut expected = 0u64;
-    for (p, _) in s.resident() {
-        if p.as_u64() != expected {
-            return Ok(PageNumber(expected));
-        }
-        expected += 1;
-    }
-    Ok(PageNumber(expected))
-}
-
 impl SegmentManager for DefaultSegmentManager {
     fn id(&self) -> ManagerId {
         self.id
@@ -2108,7 +2095,7 @@ impl SegmentManager for DefaultSegmentManager {
             if is_file && flags.contains(PageFlags::DIRTY) {
                 self.writeback(env, segment, p)?;
             }
-            let slot = first_empty_slot(env.kernel, free_seg)?;
+            let slot = env.kernel.segment(free_seg)?.first_vacant();
             self.op_migrate_pages(
                 env,
                 segment,
