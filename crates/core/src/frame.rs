@@ -1,12 +1,21 @@
 //! The physical frame table.
 //!
-//! Frames carry *real* byte contents (lazily allocated; an unallocated
-//! buffer reads as zeros) so that file caching, copy-on-write and the DBMS
-//! index structures operate on actual data. The time cost of zeroing and
-//! copying remains a [`CostModel`](epcm_sim::cost::CostModel) charge — the
-//! simulation's real heap behaviour is not what is being measured.
+//! Frames carry *real* byte contents so that file caching, copy-on-write
+//! and the DBMS index structures operate on actual data. A frame's contents
+//! are a [`Page`]: unallocated (all zeros) until first written, and shared
+//! copy-on-write with other frames and with [`FileStore`] blocks.
+//! [`FrameTable::copy`], [`FrameTable::page`] and [`FrameTable::set_page`]
+//! move a page by reference count; a partial write copies a shared buffer
+//! first, so a write through one holder is never visible through another.
+//! The time cost of zeroing and copying remains a
+//! [`CostModel`](epcm_sim::cost::CostModel) charge — the simulation's real
+//! heap behaviour is not what is being measured.
+//!
+//! [`FileStore`]: epcm_sim::disk::FileStore
 
 use std::fmt;
+
+use epcm_sim::disk::{page_bytes, write_page_bytes, Page};
 
 use crate::types::{FrameId, PageNumber, SegmentId, UserId, BASE_PAGE_SIZE};
 
@@ -14,7 +23,7 @@ use crate::types::{FrameId, PageNumber, SegmentId, UserId, BASE_PAGE_SIZE};
 #[derive(Debug, Clone, Default)]
 pub struct Frame {
     /// Byte contents; `None` is logically all-zero.
-    data: Option<Box<[u8]>>,
+    data: Page,
     /// The segment slot currently holding this frame, if any.
     owner: Option<(SegmentId, PageNumber)>,
     /// The last user principal whose data touched this frame, for V++'s
@@ -126,14 +135,13 @@ impl FrameTable {
             "read of {} bytes at {offset} exceeds frame size",
             buf.len()
         );
-        match &self.frames[frame.index()].data {
-            Some(data) => buf.copy_from_slice(&data[offset..offset + buf.len()]),
-            None => buf.fill(0),
-        }
+        let data = page_bytes(&self.frames[frame.index()].data);
+        buf.copy_from_slice(&data[offset..offset + buf.len()]);
     }
 
-    /// Writes `buf` into the frame at `offset`, materialising the buffer on
-    /// first write.
+    /// Writes `buf` into the frame at `offset`. A full 4 KB write replaces
+    /// the buffer; a partial one materialises it on first write and copies
+    /// it first if it is shared.
     ///
     /// # Panics
     ///
@@ -144,21 +152,29 @@ impl FrameTable {
             "write of {} bytes at {offset} exceeds frame size",
             buf.len()
         );
-        let data = self.frames[frame.index()]
-            .data
-            .get_or_insert_with(|| vec![0u8; BASE_PAGE_SIZE as usize].into_boxed_slice());
-        data[offset..offset + buf.len()].copy_from_slice(buf);
+        write_page_bytes(&mut self.frames[frame.index()].data, offset, buf);
     }
 
-    /// Zero-fills the frame (releases the lazily-allocated buffer).
+    /// Zero-fills the frame (releases its buffer).
     pub fn zero(&mut self, frame: FrameId) {
         self.frames[frame.index()].data = None;
     }
 
-    /// Copies the full 4 KB contents of `src` into `dst`.
+    /// Copies the full 4 KB contents of `src` into `dst` by sharing the
+    /// buffer.
     pub fn copy(&mut self, src: FrameId, dst: FrameId) {
         let data = self.frames[src.index()].data.clone();
         self.frames[dst.index()].data = data;
+    }
+
+    /// The frame's contents.
+    pub fn page(&self, frame: FrameId) -> &Page {
+        &self.frames[frame.index()].data
+    }
+
+    /// Replaces the frame's contents with `page` (shared, not copied).
+    pub fn set_page(&mut self, frame: FrameId, page: Page) {
+        self.frames[frame.index()].data = page;
     }
 
     /// A shared view of one frame.

@@ -16,6 +16,7 @@
 
 use epcm_sim::clock::{Clock, Micros, Timestamp};
 use epcm_sim::cost::CostModel;
+use epcm_sim::disk::Page;
 use epcm_trace::event::{access, fault_class};
 use epcm_trace::{EventKind, MetricsRegistry, SharedTracer, TraceEvent, TraceSink};
 
@@ -1717,26 +1718,18 @@ impl Kernel {
         Ok(())
     }
 
-    /// Reads one resident page's bytes on behalf of its manager,
-    /// regardless of the page's protection flags. A V++ manager has the
-    /// page's frame mapped into its own address space (the free-page
-    /// segment is "mapped into the manager's address space so the manager
-    /// can directly copy data to and from the page frames"), so protection
-    /// aimed at the application does not bind it.
+    /// One resident page's contents on behalf of its manager, regardless
+    /// of the page's protection flags: the first frame's [`Page`], shared
+    /// rather than copied. A V++ manager has the page's frame mapped into
+    /// its own address space (the free-page segment is "mapped into the
+    /// manager's address space so the manager can directly copy data to and
+    /// from the page frames"), so protection aimed at the application does
+    /// not bind it.
     ///
     /// # Errors
     ///
     /// [`KernelError::PageNotPresent`] and the usual range errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is longer than the segment's page size.
-    pub fn manager_read_page(
-        &mut self,
-        seg: SegmentId,
-        page: PageNumber,
-        buf: &mut [u8],
-    ) -> Result<(), KernelError> {
+    pub fn manager_page(&mut self, seg: SegmentId, page: PageNumber) -> Result<Page, KernelError> {
         let (oseg, opage) = match self.resolve(seg, page, false)? {
             Resolved::Own { segment, page, .. } => (segment, page),
             Resolved::CowPending {
@@ -1745,38 +1738,23 @@ impl Kernel {
                 ..
             } => (source_segment, source_page),
         };
-        let s = self.segment(oseg)?;
-        assert!(
-            buf.len() as u64 <= s.page_size(),
-            "manager read of {} bytes exceeds the {}-byte page",
-            buf.len(),
-            s.page_size()
-        );
-        let pf = s.page_frames();
-        let entry = s.entry(opage).ok_or(KernelError::PageNotPresent {
-            segment: oseg,
-            page: opage,
-        })?;
-        copy_frames_out(&self.frames, entry.frame, pf, 0, buf);
-        Ok(())
+        let frame = self.resident_frame(oseg, opage)?;
+        Ok(self.frames.page(frame).clone())
     }
 
-    /// Writes one resident page's bytes on behalf of its manager (page
-    /// fill before migration), regardless of protection flags. Does not
-    /// change the page's flags — migration applies the final flags.
+    /// Replaces one resident page's contents on behalf of its manager (page
+    /// fill before migration), regardless of protection flags: `data`
+    /// becomes the first frame's [`Page`], shared rather than copied. Does
+    /// not change the page's flags — migration applies the final flags.
     ///
     /// # Errors
     ///
     /// [`KernelError::PageNotPresent`] and the usual range errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is longer than the segment's page size.
-    pub fn manager_write_page(
+    pub fn manager_set_page(
         &mut self,
         seg: SegmentId,
         page: PageNumber,
-        buf: &[u8],
+        data: Page,
     ) -> Result<(), KernelError> {
         let (oseg, opage) = match self.resolve(seg, page, false)? {
             Resolved::Own { segment, page, .. } => (segment, page),
@@ -1784,20 +1762,17 @@ impl Kernel {
                 return Err(KernelError::PageNotPresent { segment: seg, page })
             }
         };
-        let s = self.segment(oseg)?;
-        assert!(
-            buf.len() as u64 <= s.page_size(),
-            "manager write of {} bytes exceeds the {}-byte page",
-            buf.len(),
-            s.page_size()
-        );
-        let pf = s.page_frames();
-        let entry = s.entry(opage).ok_or(KernelError::PageNotPresent {
-            segment: oseg,
-            page: opage,
-        })?;
-        copy_frames_in(&mut self.frames, entry.frame, pf, 0, buf);
+        let frame = self.resident_frame(oseg, opage)?;
+        self.frames.set_page(frame, data);
         Ok(())
+    }
+
+    /// The first frame of a resident page.
+    fn resident_frame(&self, seg: SegmentId, page: PageNumber) -> Result<FrameId, KernelError> {
+        self.segment(seg)?
+            .entry(page)
+            .map(|e| e.frame)
+            .ok_or(KernelError::PageNotPresent { segment: seg, page })
     }
 
     // ----- UIO block interface ---------------------------------------------------

@@ -35,7 +35,7 @@ use epcm_core::ring::{
 use epcm_core::tier::MemTier;
 use epcm_core::types::{FrameId, ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
 use epcm_sim::clock::Micros;
-use epcm_sim::disk::{FileId, FileStore, FileStoreError};
+use epcm_sim::disk::{page_bytes, FileId, FileStore, FileStoreError};
 use epcm_sim::writeback::{TicketId, WritebackPipeline};
 use epcm_trace::{EventKind, MetricsRegistry, SharedTracer, TraceEvent, TraceSink};
 
@@ -1206,9 +1206,8 @@ impl DefaultSegmentManager {
         if dst_tier == MemTier::CompressedRam {
             // The refitted compress.rs scheme backs this tier: account
             // the RLE work a real zram device would do on the way in.
-            let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-            env.kernel.manager_read_page(seg, page, &mut buf)?;
-            let stored = rle_compress(&buf).len() as u64;
+            let data = env.kernel.manager_page(seg, page)?;
+            let stored = rle_compress(page_bytes(&data)).len() as u64;
             self.zram_stats.compressed += 1;
             self.zram_stats.raw_bytes += BASE_PAGE_SIZE;
             self.zram_stats.stored_bytes += stored;
@@ -1395,19 +1394,18 @@ impl DefaultSegmentManager {
                     self.promo_stats.no_target += 1;
                     return Ok(false);
                 };
-                let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-                env.kernel.manager_read_page(vseg, vpage, &mut buf)?;
+                let victim = env.kernel.manager_page(vseg, vpage)?;
                 if from == MemTier::CompressedRam {
                     // The victim lands in the zram tier: account the RLE
                     // work a real compressed-RAM device would do, same as
                     // the demotion ladder.
-                    let stored = rle_compress(&buf).len() as u64;
+                    let stored = rle_compress(page_bytes(&victim)).len() as u64;
                     self.zram_stats.compressed += 1;
                     self.zram_stats.raw_bytes += BASE_PAGE_SIZE;
                     self.zram_stats.stored_bytes += stored;
                 }
                 self.op_migrate_frame(env, seg, page, vframe)?;
-                env.kernel.manager_write_page(vseg, vpage, &buf)?;
+                env.kernel.manager_set_page(vseg, vpage, victim)?;
                 env.kernel.charge(env.kernel.costs().page_copy_4k);
                 true
             }
@@ -1537,11 +1535,11 @@ impl DefaultSegmentManager {
         let Some((file, is_anon)) = self.writeback_target(env, seg) else {
             return Ok(None);
         };
-        let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-        env.kernel.manager_read_page(seg, page, &mut buf)?;
+        let data = env.kernel.manager_page(seg, page)?;
         let offset = page.as_u64() * BASE_PAGE_SIZE;
-        let latency =
-            self.store_io_with_retry(env, true, |store| store.write(file, offset, &buf))?;
+        let latency = self.store_io_with_retry(env, true, |store| {
+            store.write_page(file, offset, data.clone())
+        })?;
         if is_anon {
             if let Some(ManagedSegment {
                 backing: Backing::Anonymous { swapped, .. },
@@ -1669,17 +1667,18 @@ impl DefaultSegmentManager {
             Some((file, is_swap)) => {
                 env.kernel.charge(env.kernel.costs().manager_alloc);
                 let slot = self.take_free_slot(env)?;
-                let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
                 let offset = page.as_u64() * BASE_PAGE_SIZE;
                 let size = env.store.size(file).map_err(epcm_core::KernelError::from)?;
-                let n = (BASE_PAGE_SIZE).min(size.saturating_sub(offset)) as usize;
-                if n > 0 {
+                let mut data = None;
+                if offset < size {
                     let latency = self.store_io_with_retry(env, false, |store| {
-                        store.read(file, offset, &mut buf[..n])
+                        let (page, latency) = store.read_page(file, offset)?;
+                        data = page;
+                        Ok(latency)
                     })?;
                     env.kernel.charge(latency);
                 }
-                env.kernel.manager_write_page(free_seg, slot, &buf)?;
+                env.kernel.manager_set_page(free_seg, slot, data)?;
                 env.kernel.charge(env.kernel.costs().page_copy_4k);
                 self.op_migrate_pages(
                     env,
@@ -2215,6 +2214,8 @@ mod tests {
     use super::*;
     use crate::machine::Machine;
     use epcm_core::types::AccessKind;
+    use epcm_sim::disk::Page;
+    use std::sync::Arc;
 
     fn machine_with(config: DefaultManagerConfig, frames: usize) -> (Machine, ManagerId) {
         let mut m = Machine::new(frames);
@@ -2289,6 +2290,154 @@ mod tests {
             assert_eq!(buf, [p as u8; 16], "page {p} lost its data");
         }
         let _ = id;
+    }
+
+    fn stats_of(m: &Machine, id: ManagerId) -> DefaultManagerStats {
+        m.manager(id)
+            .unwrap()
+            .as_any()
+            .downcast_ref::<DefaultSegmentManager>()
+            .unwrap()
+            .manager_stats()
+    }
+
+    /// The contents of `seg`'s resident `page` (its frame's [`Page`]).
+    fn resident_page(m: &Machine, seg: SegmentId, page: u64) -> Option<Page> {
+        let entry = m.kernel().segment(seg).unwrap().entry(PageNumber(page))?;
+        Some(m.kernel().frames().page(entry.frame).clone())
+    }
+
+    fn same_buffer(a: &Page, b: &Page) -> bool {
+        matches!((a, b), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// A 24-frame machine whose manager keeps few free frames, so that
+    /// touching 40 pages evicts and refills.
+    fn tight_machine() -> (Machine, ManagerId) {
+        let config = DefaultManagerConfig {
+            target_free: 4,
+            low_water: 1,
+            refill_batch: 4,
+            ..DefaultManagerConfig::default()
+        };
+        machine_with(config, 24)
+    }
+
+    #[test]
+    fn file_pages_shared_with_the_store_never_alias() {
+        let (mut m, _) = machine_with(DefaultManagerConfig::default(), 256);
+        let f = m
+            .store_mut()
+            .create_with("f", vec![0x11; 3 * BASE_PAGE_SIZE as usize]);
+        let seg = m.open_file("f").unwrap();
+        let mut buf = [0u8; 4];
+        for p in 0..3 {
+            m.uio_read(seg, p * BASE_PAGE_SIZE, &mut buf).unwrap();
+            let (block, _) = m.store_mut().read_page(f, p * BASE_PAGE_SIZE).unwrap();
+            assert!(same_buffer(&resident_page(&m, seg, p).unwrap(), &block));
+        }
+        // A UIO write through the cached frame leaves the file's block.
+        m.uio_write(seg, 1, b"new").unwrap();
+        m.store_mut().read(f, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0x11; 4]);
+        // A store write lands in the file and not in the cached frame.
+        m.store_mut().write(f, BASE_PAGE_SIZE, b"disk").unwrap();
+        m.store_mut().read(f, BASE_PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(&buf, b"disk");
+        m.uio_read(seg, BASE_PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(buf, [0x11; 4]);
+        // A manager page replacement leaves the file's block.
+        let replacement = Some(Arc::new([0xEE; BASE_PAGE_SIZE as usize]));
+        m.kernel_mut()
+            .manager_set_page(seg, PageNumber(2), replacement)
+            .unwrap();
+        m.store_mut().read(f, 2 * BASE_PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(buf, [0x11; 4]);
+        // Closing writes the dirty page back; the file now shares it.
+        m.close_segment(seg).unwrap();
+        m.store_mut().read(f, 0, &mut buf).unwrap();
+        assert_eq!(&buf, b"\x11new");
+    }
+
+    #[test]
+    fn pages_shared_with_swap_never_alias() {
+        let (mut m, id) = tight_machine();
+        let seg = m.create_segment(SegmentKind::Anonymous, 64).unwrap();
+        let stamp = |p: u64| [p as u8 + 1; 16];
+        for p in 0..40u64 {
+            m.store_bytes(seg, p * BASE_PAGE_SIZE, &stamp(p)).unwrap();
+        }
+        let mut buf = [0u8; 16];
+        for p in 0..40u64 {
+            m.load(seg, p * BASE_PAGE_SIZE, &mut buf).unwrap();
+        }
+        assert!(stats_of(&m, id).writebacks > 0);
+        let swap = m.store().find(&format!("swap-{}", seg.as_u32())).unwrap();
+        // Resident pages whose frame still shares its buffer with the swap
+        // block writeback put there.
+        let shared: Vec<u64> = (0..40u64)
+            .filter(|&p| {
+                let Some(page) = resident_page(&m, seg, p) else {
+                    return false;
+                };
+                let size = m.store().size(swap).unwrap();
+                let offset = p * BASE_PAGE_SIZE;
+                offset < size
+                    && same_buffer(&page, &m.store_mut().read_page(swap, offset).unwrap().0)
+            })
+            .collect();
+        assert!(
+            shared.len() >= 2,
+            "no page shares its swap block: {shared:?}"
+        );
+        let (a, b) = (shared[0], shared[1]);
+        // An application write lands in the frame and not in the swap block.
+        m.store_bytes(seg, a * BASE_PAGE_SIZE, b"new").unwrap();
+        m.load(seg, a * BASE_PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(buf[..4], [b'n', b'e', b'w', a as u8 + 1]);
+        m.store_mut()
+            .read(swap, a * BASE_PAGE_SIZE, &mut buf)
+            .unwrap();
+        assert_eq!(buf, stamp(a));
+        // A write lands in the swap block and not in the frame.
+        m.store_mut()
+            .write(swap, b * BASE_PAGE_SIZE, b"zz")
+            .unwrap();
+        m.store_mut()
+            .read(swap, b * BASE_PAGE_SIZE, &mut buf)
+            .unwrap();
+        assert_eq!(buf[..3], [b'z', b'z', b as u8 + 1]);
+        m.load(seg, b * BASE_PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(buf, stamp(b));
+    }
+
+    #[test]
+    fn never_written_pages_stay_unallocated_through_swap() {
+        let (mut m, id) = tight_machine();
+        let seg = m.create_segment(SegmentKind::Anonymous, 64).unwrap();
+        // Write-touched (so dirty) but no byte ever stored.
+        for p in 0..40 {
+            m.touch(seg, p, AccessKind::Write).unwrap();
+        }
+        for p in 0..40 {
+            m.touch(seg, p, AccessKind::Read).unwrap();
+        }
+        let stats = stats_of(&m, id);
+        assert!(stats.writebacks > 0 && stats.swap_ins > 0, "{stats:?}");
+        for p in 0..40 {
+            if let Some(page) = resident_page(&m, seg, p) {
+                assert_eq!(page, None, "page {p} was materialised");
+            }
+        }
+        for f in m.kernel().frames().ids() {
+            assert!(!m.kernel().frames().frame(f).is_materialised());
+        }
+        let swap = m.store().find(&format!("swap-{}", seg.as_u32())).unwrap();
+        let size = m.store().size(swap).unwrap();
+        assert!(size > 0);
+        for offset in (0..size).step_by(BASE_PAGE_SIZE as usize) {
+            assert_eq!(m.store_mut().read_page(swap, offset).unwrap().0, None);
+        }
     }
 
     #[test]

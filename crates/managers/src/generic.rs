@@ -13,12 +13,14 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use epcm_core::fault::{FaultEvent, FaultKind};
 use epcm_core::flags::PageFlags;
 use epcm_core::kernel::Kernel;
 use epcm_core::ring::{CompletionEntry, CompletionRing, RingOp, SubmissionEntry, SubmissionRing};
 use epcm_core::types::{ManagerId, PageNumber, SegmentId, SegmentKind, BASE_PAGE_SIZE};
+use epcm_sim::disk::page_bytes;
 
 use crate::manager::{Env, ManagerError, ManagerMode, SegmentManager};
 use crate::policy::{ClockPolicy, Probe, ReplacementPolicy};
@@ -443,10 +445,9 @@ impl<S: Specialization> GenericManager<S> {
         if entry.flags.contains(PageFlags::DIRTY) {
             match self.spec.evict_disposition(seg, page, entry.flags) {
                 Disposition::WriteBack => {
-                    let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-                    env.kernel.manager_read_page(seg, page, &mut buf)?;
+                    let data = env.kernel.manager_page(seg, page)?;
                     env.kernel.charge(env.kernel.costs().page_copy_4k);
-                    self.spec.write_back(env, seg, page, &buf)?;
+                    self.spec.write_back(env, seg, page, page_bytes(&data))?;
                     self.stats.writebacks += 1;
                 }
                 Disposition::Discard => {
@@ -548,13 +549,14 @@ impl<S: Specialization + 'static> SegmentManager for GenericManager<S> {
                 let constraint = self.spec.frame_constraint(seg, page);
                 let free_seg = self.free_seg(env)?;
                 let slot = self.take_free_slot(env, constraint)?;
-                let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
+                let mut buf = [0u8; BASE_PAGE_SIZE as usize];
                 match self.spec.fill(env, seg, page, &mut buf)? {
                     Fill::Minimal => {
                         self.stats.minimal_faults += 1;
                     }
                     Fill::Filled => {
-                        env.kernel.manager_write_page(free_seg, slot, &buf)?;
+                        env.kernel
+                            .manager_set_page(free_seg, slot, Some(Arc::new(buf)))?;
                         env.kernel.charge(env.kernel.costs().page_copy_4k);
                         self.stats.fills += 1;
                     }
@@ -638,9 +640,8 @@ impl<S: Specialization + 'static> SegmentManager for GenericManager<S> {
             if flags.contains(PageFlags::DIRTY)
                 && self.spec.evict_disposition(segment, p, flags) == Disposition::WriteBack
             {
-                let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-                env.kernel.manager_read_page(segment, p, &mut buf)?;
-                self.spec.write_back(env, segment, p, &buf)?;
+                let data = env.kernel.manager_page(segment, p)?;
+                self.spec.write_back(env, segment, p, page_bytes(&data))?;
                 self.stats.writebacks += 1;
             }
             let slot = env.kernel.segment(free_seg)?.first_vacant();

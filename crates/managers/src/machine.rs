@@ -856,12 +856,11 @@ impl Machine {
         page: PageNumber,
         file: FileId,
     ) -> Result<bool, MachineError> {
-        let mut buf = vec![0u8; BASE_PAGE_SIZE as usize];
-        self.kernel.manager_read_page(seg, page, &mut buf)?;
+        let data = self.kernel.manager_page(seg, page)?;
         let offset = page.as_u64() * BASE_PAGE_SIZE;
         let mut attempt = 0u32;
         loop {
-            match self.store.write(file, offset, &buf) {
+            match self.store.write_page(file, offset, data.clone()) {
                 Ok(latency) => {
                     self.kernel.charge(latency);
                     return Ok(true);

@@ -2,13 +2,24 @@
 //!
 //! The paper's V++ machine was diskless (files served by a DECstation 3100
 //! over the network); the Ultrix machine had a local disk. Both are modelled
-//! as a [`FileStore`] — named byte arrays with real contents — fronted by a
+//! as a [`FileStore`] — named files with real contents — fronted by a
 //! [`Device`] that prices each 4 KB block transfer. Managers fetch page data
 //! from here on a fault and write dirty pages back, advancing the virtual
 //! clock by the returned latency.
+//!
+//! A file is a byte length plus a sparse vector of 4 KB blocks, each a
+//! [`Page`]: a shared, copy-on-write buffer, or `None` for all zeros. The
+//! frame table holds the same type, so a whole-page transfer between a frame
+//! and a file ([`FileStore::read_page`], [`FileStore::write_page`]) hands the
+//! buffer over by reference count instead of copying 4 KB; a later partial
+//! write on either side copies the buffer first ([`write_page_bytes`]).
+//! Creating a file or writing far past its end allocates no page data, and a
+//! never-written page stays unallocated wherever it moves. The virtual clock
+//! still charges every copy and zero through the cost model — host memory
+//! traffic is not what the simulation measures.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::clock::Micros;
 use crate::rng::Rng;
@@ -344,6 +355,33 @@ impl FaultPlan {
     }
 }
 
+/// The contents of one 4 KB block or base page frame: a buffer shared
+/// copy-on-write between frames and files, or `None` for all zeros.
+pub type Page = Option<Arc<[u8; BLOCK_SIZE as usize]>>;
+
+static ZERO_PAGE: [u8; BLOCK_SIZE as usize] = [0; BLOCK_SIZE as usize];
+
+/// The bytes of `page`; an unallocated page reads as zeros.
+pub fn page_bytes(page: &Page) -> &[u8; BLOCK_SIZE as usize] {
+    page.as_deref().unwrap_or(&ZERO_PAGE)
+}
+
+/// Writes `bytes` into `page` at `offset`. A write covering the whole page
+/// replaces the buffer; a partial one copies a shared buffer first (or
+/// allocates a zeroed one), so no other holder of the page sees the change.
+///
+/// # Panics
+///
+/// Panics if the range exceeds the page.
+pub fn write_page_bytes(page: &mut Page, offset: usize, bytes: &[u8]) {
+    if let Ok(whole) = <&[u8; BLOCK_SIZE as usize]>::try_from(bytes) {
+        *page = Some(Arc::new(*whole));
+        return;
+    }
+    let data = page.get_or_insert_with(|| Arc::new(ZERO_PAGE));
+    Arc::make_mut(data)[offset..offset + bytes.len()].copy_from_slice(bytes);
+}
+
 /// Named files with real byte contents behind a latency [`Device`].
 ///
 /// # Example
@@ -364,8 +402,8 @@ impl FaultPlan {
 #[derive(Debug, Clone)]
 pub struct FileStore {
     device: Device,
-    files: HashMap<FileId, FileEntry>,
-    next_id: u32,
+    /// Indexed by [`FileId`]: ids are dense and files are never removed.
+    files: Vec<FileEntry>,
     last_block: Option<(FileId, u64)>,
     reads: u64,
     writes: u64,
@@ -377,7 +415,11 @@ pub struct FileStore {
 #[derive(Debug, Clone)]
 struct FileEntry {
     name: String,
-    data: Vec<u8>,
+    /// Size in bytes; bytes past it (in the last block) are zero.
+    len: u64,
+    /// Block `i` holds bytes `[i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE)`.
+    /// Blocks past the end of the vector read as zeros.
+    blocks: Vec<Page>,
 }
 
 /// Block size used for latency accounting (matches the 4 KB page size).
@@ -388,8 +430,7 @@ impl FileStore {
     pub fn new(device: Device) -> Self {
         FileStore {
             device,
-            files: HashMap::new(),
-            next_id: 0,
+            files: Vec::new(),
             last_block: None,
             reads: 0,
             writes: 0,
@@ -457,31 +498,44 @@ impl FileStore {
         Ok(())
     }
 
-    /// Creates a zero-filled file of `size` bytes and returns its id.
+    /// Creates a zero-filled file of `size` bytes and returns its id. No
+    /// page data is allocated.
     pub fn create(&mut self, name: &str, size: usize) -> FileId {
-        self.create_with(name, vec![0; size])
+        self.insert(name, size as u64, Vec::new())
     }
 
     /// Creates a file with the given contents.
     pub fn create_with(&mut self, name: &str, data: Vec<u8>) -> FileId {
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.files.insert(
-            id,
-            FileEntry {
-                name: name.to_string(),
-                data,
-            },
-        );
+        let blocks = data
+            .chunks(BLOCK_SIZE as usize)
+            .map(|chunk| {
+                let mut page = None;
+                if chunk.iter().any(|&b| b != 0) {
+                    write_page_bytes(&mut page, 0, chunk);
+                }
+                page
+            })
+            .collect();
+        self.insert(name, data.len() as u64, blocks)
+    }
+
+    fn insert(&mut self, name: &str, len: u64, blocks: Vec<Page>) -> FileId {
+        let id = FileId(u32::try_from(self.files.len()).expect("file ids exhausted"));
+        self.files.push(FileEntry {
+            name: name.to_string(),
+            len,
+            blocks,
+        });
         id
     }
 
-    /// Looks a file up by name.
+    /// Looks a file up by name; with several files of that name, the
+    /// lowest id wins.
     pub fn find(&self, name: &str) -> Option<FileId> {
         self.files
             .iter()
-            .find(|(_, e)| e.name == name)
-            .map(|(&id, _)| id)
+            .position(|e| e.name == name)
+            .map(|i| FileId(i as u32))
     }
 
     /// The file's size in bytes.
@@ -490,7 +544,7 @@ impl FileStore {
     ///
     /// Returns [`FileStoreError::UnknownFile`] for an unknown id.
     pub fn size(&self, file: FileId) -> Result<u64, FileStoreError> {
-        self.entry(file).map(|e| e.data.len() as u64)
+        self.entry(file).map(|e| e.len)
     }
 
     /// The file's name.
@@ -504,8 +558,28 @@ impl FileStore {
 
     fn entry(&self, file: FileId) -> Result<&FileEntry, FileStoreError> {
         self.files
-            .get(&file)
+            .get(file.0 as usize)
             .ok_or(FileStoreError::UnknownFile(file))
+    }
+
+    /// The end of `[offset, offset + len)`, or [`FileStoreError::OutOfRange`]
+    /// if it passes `limit` (or wraps).
+    fn range_end(
+        file: FileId,
+        offset: u64,
+        len: u64,
+        size: u64,
+        limit: u64,
+    ) -> Result<u64, FileStoreError> {
+        offset
+            .checked_add(len)
+            .filter(|&end| end <= limit)
+            .ok_or(FileStoreError::OutOfRange {
+                file,
+                offset,
+                len,
+                size,
+            })
     }
 
     /// Reads `buf.len()` bytes at `offset`, returning the device latency the
@@ -522,18 +596,21 @@ impl FileStore {
         buf: &mut [u8],
     ) -> Result<Micros, FileStoreError> {
         let len = buf.len() as u64;
-        let size = self.entry(file)?.data.len() as u64;
-        if offset + len > size {
-            return Err(FileStoreError::OutOfRange {
-                file,
-                offset,
-                len,
-                size,
-            });
-        }
+        let size = self.entry(file)?.len;
+        Self::range_end(file, offset, len, size, size)?;
         self.inject(false, file, offset, len)?;
-        let entry = self.entry(file)?;
-        buf.copy_from_slice(&entry.data[offset as usize..(offset + len) as usize]);
+        let blocks = &self.files[file.0 as usize].blocks;
+        let mut done = 0usize;
+        while done < buf.len() {
+            let pos = offset + done as u64;
+            let within = (pos % BLOCK_SIZE) as usize;
+            let n = (BLOCK_SIZE as usize - within).min(buf.len() - done);
+            let src = blocks
+                .get((pos / BLOCK_SIZE) as usize)
+                .map_or(&ZERO_PAGE, page_bytes);
+            buf[done..done + n].copy_from_slice(&src[within..within + n]);
+            done += n;
+        }
         self.reads += 1;
         Ok(self.charge(file, offset, len))
     }
@@ -543,7 +620,8 @@ impl FileStore {
     ///
     /// # Errors
     ///
-    /// Returns [`FileStoreError::UnknownFile`] for an unknown id.
+    /// Returns [`FileStoreError::UnknownFile`] for an unknown id, or
+    /// [`FileStoreError::OutOfRange`] if the range wraps.
     pub fn write(
         &mut self,
         file: FileId,
@@ -551,23 +629,100 @@ impl FileStore {
         buf: &[u8],
     ) -> Result<Micros, FileStoreError> {
         let len = buf.len() as u64;
-        if !self.files.contains_key(&file) {
-            return Err(FileStoreError::UnknownFile(file));
-        }
+        let size = self.entry(file)?.len;
+        let end = Self::range_end(file, offset, len, size, u64::MAX)?;
         self.inject(true, file, offset, len)?;
-        {
-            let entry = self
-                .files
-                .get_mut(&file)
-                .ok_or(FileStoreError::UnknownFile(file))?;
-            let end = (offset + len) as usize;
-            if end > entry.data.len() {
-                entry.data.resize(end, 0);
-            }
-            entry.data[offset as usize..end].copy_from_slice(buf);
+        let entry = &mut self.files[file.0 as usize];
+        entry.len = entry.len.max(end);
+        let needed = end.div_ceil(BLOCK_SIZE) as usize;
+        if entry.blocks.len() < needed {
+            entry.blocks.resize(needed, None);
+        }
+        let mut done = 0usize;
+        while done < buf.len() {
+            let pos = offset + done as u64;
+            let within = (pos % BLOCK_SIZE) as usize;
+            let n = (BLOCK_SIZE as usize - within).min(buf.len() - done);
+            let block = &mut entry.blocks[(pos / BLOCK_SIZE) as usize];
+            write_page_bytes(block, within, &buf[done..done + n]);
+            done += n;
         }
         self.writes += 1;
         Ok(self.charge(file, offset, len))
+    }
+
+    /// Reads the block at the block-aligned `offset` as a shared [`Page`]
+    /// (bytes past the end of the file read as zeros). Costs, counts and
+    /// faults exactly as [`FileStore::read`] of the `min(BLOCK_SIZE, size -
+    /// offset)` bytes there, without copying them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FileStoreError::UnknownFile`], or
+    /// [`FileStoreError::OutOfRange`] if `offset` is past the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not a multiple of [`BLOCK_SIZE`].
+    pub fn read_page(
+        &mut self,
+        file: FileId,
+        offset: u64,
+    ) -> Result<(Page, Micros), FileStoreError> {
+        assert_eq!(
+            offset % BLOCK_SIZE,
+            0,
+            "page read at unaligned offset {offset}"
+        );
+        let size = self.entry(file)?.len;
+        let len = BLOCK_SIZE.min(size.saturating_sub(offset));
+        Self::range_end(file, offset, len, size, size)?;
+        self.inject(false, file, offset, len)?;
+        let page = self.files[file.0 as usize]
+            .blocks
+            .get((offset / BLOCK_SIZE) as usize)
+            .cloned()
+            .flatten();
+        self.reads += 1;
+        Ok((page, self.charge(file, offset, len)))
+    }
+
+    /// Writes `page` as the block at the block-aligned `offset`, growing
+    /// the file to cover it. The page is shared, not copied. Costs, counts
+    /// and faults exactly as [`FileStore::write`] of its [`BLOCK_SIZE`]
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FileStoreError::UnknownFile`] for an unknown id, or
+    /// [`FileStoreError::OutOfRange`] if the range wraps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not a multiple of [`BLOCK_SIZE`].
+    pub fn write_page(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        page: Page,
+    ) -> Result<Micros, FileStoreError> {
+        assert_eq!(
+            offset % BLOCK_SIZE,
+            0,
+            "page write at unaligned offset {offset}"
+        );
+        let size = self.entry(file)?.len;
+        let end = Self::range_end(file, offset, BLOCK_SIZE, size, u64::MAX)?;
+        self.inject(true, file, offset, BLOCK_SIZE)?;
+        let entry = &mut self.files[file.0 as usize];
+        entry.len = entry.len.max(end);
+        let index = (offset / BLOCK_SIZE) as usize;
+        if entry.blocks.len() <= index {
+            entry.blocks.resize(index + 1, None);
+        }
+        entry.blocks[index] = page;
+        self.writes += 1;
+        Ok(self.charge(file, offset, BLOCK_SIZE))
     }
 
     fn charge(&mut self, file: FileId, offset: u64, len: u64) -> Micros {
@@ -627,6 +782,95 @@ mod tests {
         assert_eq!(s.find("a"), Some(a));
         assert_eq!(s.find("b"), Some(b));
         assert_eq!(s.find("c"), None);
+    }
+
+    #[test]
+    fn find_returns_the_lowest_id_for_a_duplicate_name() {
+        let mut s = FileStore::new(Device::Instant);
+        let other = s.create("other", 1);
+        let first = s.create("dup", 1);
+        let second = s.create("dup", 2);
+        assert_ne!(first, second);
+        assert_eq!(s.find("dup"), Some(first));
+        assert_eq!(s.find("other"), Some(other));
+        assert_eq!(s.size(second).unwrap(), 2);
+    }
+
+    fn wraps(result: Result<impl fmt::Debug, FileStoreError>, offset: u64) {
+        match result {
+            Err(FileStoreError::OutOfRange { offset: o, .. }) => assert_eq!(o, offset),
+            other => panic!("expected OutOfRange, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_range_that_wraps_is_out_of_range() {
+        let mut s = FileStore::new(Device::Instant);
+        let f = s.create("a", 2 * BLOCK_SIZE as usize);
+        wraps(s.read(f, u64::MAX - 1, &mut [0; 4]), u64::MAX - 1);
+        assert_eq!(s.op_index(), 0, "a rejected read consumes no op index");
+    }
+
+    #[test]
+    fn write_range_that_wraps_is_out_of_range() {
+        let mut s = FileStore::new(Device::Instant);
+        let f = s.create("a", 2 * BLOCK_SIZE as usize);
+        wraps(s.write(f, u64::MAX - 1, &[1; 4]), u64::MAX - 1);
+        assert_eq!(s.size(f).unwrap(), 2 * BLOCK_SIZE);
+        assert_eq!(s.write_count(), 0);
+    }
+
+    #[test]
+    fn read_page_past_end_or_wrapping_is_out_of_range() {
+        let mut s = FileStore::new(Device::Instant);
+        let f = s.create("a", 2 * BLOCK_SIZE as usize);
+        let last = u64::MAX - (BLOCK_SIZE - 1);
+        wraps(s.read_page(f, last), last);
+        wraps(s.read_page(f, 3 * BLOCK_SIZE), 3 * BLOCK_SIZE);
+        // At the end exactly: an empty, free read, as `read` of 0 bytes.
+        assert_eq!(s.read_page(f, 2 * BLOCK_SIZE), Ok((None, Micros::ZERO)));
+    }
+
+    #[test]
+    fn write_page_that_wraps_is_out_of_range() {
+        let mut s = FileStore::new(Device::Instant);
+        let f = s.create("a", 2 * BLOCK_SIZE as usize);
+        let last = u64::MAX - (BLOCK_SIZE - 1);
+        wraps(s.write_page(f, last, None), last);
+        assert_eq!(s.size(f).unwrap(), 2 * BLOCK_SIZE);
+    }
+
+    #[test]
+    fn pages_move_shared_and_copy_on_write() {
+        let mut s = FileStore::new(Device::network_1992());
+        let f = s.create("a", 100);
+        let page: Page = Some(Arc::new([7; BLOCK_SIZE as usize]));
+        // A sparse write far past the end allocates only the block itself.
+        let lat = s.write_page(f, 5 * BLOCK_SIZE, page.clone()).unwrap();
+        assert_eq!(lat, Micros::new(2_800));
+        assert_eq!(s.size(f).unwrap(), 6 * BLOCK_SIZE);
+        let (back, _) = s.read_page(f, 5 * BLOCK_SIZE).unwrap();
+        assert!(Arc::ptr_eq(back.as_ref().unwrap(), page.as_ref().unwrap()));
+        assert_eq!(s.read_page(f, 2 * BLOCK_SIZE).unwrap().0, None);
+        // A partial write copies the shared block; the caller's page keeps
+        // its bytes.
+        s.write(f, 5 * BLOCK_SIZE + 1, b"xy").unwrap();
+        assert_eq!(page_bytes(&page)[..4], [7, 7, 7, 7]);
+        let mut buf = [0u8; 4];
+        s.read(f, 5 * BLOCK_SIZE, &mut buf).unwrap();
+        assert_eq!(&buf, b"\x07xy\x07");
+        assert_eq!((s.read_count(), s.write_count()), (3, 2));
+    }
+
+    #[test]
+    fn read_page_of_a_short_tail_counts_its_bytes_only() {
+        let mut s = FileStore::new(Device::network_1992());
+        let f = s.create_with("a", vec![9; BLOCK_SIZE as usize + 10]);
+        let (page, lat) = s.read_page(f, BLOCK_SIZE).unwrap();
+        let bytes = page_bytes(&page);
+        assert_eq!(bytes[..10], [9; 10]);
+        assert!(bytes[10..].iter().all(|&b| b == 0));
+        assert_eq!(lat, Micros::new(2_800));
     }
 
     #[test]

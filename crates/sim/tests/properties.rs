@@ -1,6 +1,9 @@
 //! Property-based tests for the simulation substrate.
 
 use epcm_sim::clock::{Micros, Timestamp};
+use epcm_sim::disk::{
+    page_bytes, Device, FaultPlan, FaultRule, FileId, FileStore, FileStoreError, Page, BLOCK_SIZE,
+};
 use epcm_sim::events::{EventQueue, ExtendError, MultiServer, ShardedEventQueue};
 use epcm_sim::rng::Rng;
 use epcm_sim::stats::{Histogram, Summary};
@@ -175,7 +178,7 @@ proptest! {
         let mut held: Vec<epcm_sim::events::Reservation> = Vec::new();
         let mut expected_busy = Micros::ZERO;
         for &(reserve, advance, amount) in &ops {
-            now = now + Micros::new(advance);
+            now += Micros::new(advance);
             if reserve || held.is_empty() {
                 let service = Micros::new(amount);
                 let r = bank.reserve(now, service);
@@ -304,5 +307,378 @@ proptest! {
         let db: Vec<(Timestamp, usize)> =
             qb.drain_merged().into_iter().map(|(_, t, e)| (t, e)).collect();
         prop_assert_eq!(da, db);
+    }
+}
+
+/// One step against a [`FileStore`] and its dense reference model. File
+/// indices may name a file that does not exist yet.
+#[derive(Debug, Clone)]
+enum FileOp {
+    Create {
+        size: usize,
+    },
+    CreateWith {
+        len: usize,
+        seed: u8,
+    },
+    Read {
+        file: usize,
+        offset: u64,
+        len: usize,
+    },
+    Write {
+        file: usize,
+        offset: u64,
+        len: usize,
+        seed: u8,
+    },
+    ReadPage {
+        file: usize,
+        block: u64,
+    },
+    /// `seed == 0` writes an unallocated (all-zero) page.
+    WritePage {
+        file: usize,
+        block: u64,
+        seed: u8,
+    },
+}
+
+/// Deterministic non-zero bytes (all zeros for `seed == 0`).
+fn pattern(len: usize, seed: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| {
+            if seed == 0 {
+                0
+            } else {
+                (i as u8).wrapping_mul(31).wrapping_add(seed) | 1
+            }
+        })
+        .collect()
+}
+
+/// Block index whose page range `[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`
+/// wraps past `u64::MAX`.
+const WRAP_BLOCK: u64 = u64::MAX / BLOCK_SIZE;
+
+fn file_op() -> impl Strategy<Value = FileOp> {
+    let b = BLOCK_SIZE as usize;
+    prop_oneof![
+        (0usize..3 * b + 100).prop_map(|size| FileOp::Create { size }),
+        (0usize..3 * b + 100, any::<u8>()).prop_map(|(len, seed)| FileOp::CreateWith { len, seed }),
+        (0usize..4, 0u64..6 * BLOCK_SIZE, 0usize..b + 200)
+            .prop_map(|(file, offset, len)| FileOp::Read { file, offset, len }),
+        (
+            0usize..4,
+            0u64..6 * BLOCK_SIZE,
+            0usize..b + 200,
+            any::<u8>()
+        )
+            .prop_map(|(file, offset, len, seed)| FileOp::Write {
+                file,
+                offset,
+                len,
+                seed
+            }),
+        (0usize..4, 0u64..8).prop_map(|(file, k)| FileOp::Read {
+            file,
+            offset: u64::MAX - k,
+            len: 4,
+        }),
+        // Every such write wraps: a non-wrapping one would need ~2^64 bytes.
+        (0usize..4, 0u64..4, any::<u8>()).prop_map(|(file, k, seed)| FileOp::Write {
+            file,
+            offset: u64::MAX - k,
+            len: 4,
+            seed,
+        }),
+        (0usize..4, 0u64..7).prop_map(|(file, block)| FileOp::ReadPage { file, block }),
+        (0usize..4, 0u64..7, 0u8..4).prop_map(|(file, block, seed)| FileOp::WritePage {
+            file,
+            block,
+            seed
+        }),
+        (0usize..4).prop_map(|file| FileOp::ReadPage {
+            file,
+            block: WRAP_BLOCK
+        }),
+        (0usize..4).prop_map(|file| FileOp::WritePage {
+            file,
+            block: WRAP_BLOCK,
+            seed: 1
+        }),
+    ]
+}
+
+/// The reference fault plan: one transient rule over everything, then one
+/// permanent rule on a single block of a single file.
+struct ModelPlan {
+    rng: Rng,
+    rate: f64,
+    dead_file: FileId,
+    dead_block: u64,
+}
+
+/// A dense `Vec<u8>` per file, with the store's op, fault, counter and
+/// latency bookkeeping written out longhand.
+struct FileModel {
+    device: Device,
+    files: Vec<Vec<u8>>,
+    last_block: Option<(FileId, u64)>,
+    op: u64,
+    faults: u64,
+    reads: u64,
+    writes: u64,
+    plan: Option<ModelPlan>,
+}
+
+impl FileModel {
+    fn data(&self, file: FileId) -> Result<&Vec<u8>, FileStoreError> {
+        self.files
+            .get(file.as_u32() as usize)
+            .ok_or(FileStoreError::UnknownFile(file))
+    }
+
+    fn inject(
+        &mut self,
+        write: bool,
+        file: FileId,
+        offset: u64,
+        len: u64,
+    ) -> Result<(), FileStoreError> {
+        let op = self.op;
+        self.op += 1;
+        let Some(plan) = self.plan.as_mut() else {
+            return Ok(());
+        };
+        let first = offset / BLOCK_SIZE;
+        let last = if len == 0 {
+            first
+        } else {
+            (offset + len - 1) / BLOCK_SIZE
+        };
+        let transient = if plan.rng.chance(plan.rate) {
+            true
+        } else if file == plan.dead_file && first <= plan.dead_block && last >= plan.dead_block {
+            false
+        } else {
+            return Ok(());
+        };
+        self.faults += 1;
+        Err(FileStoreError::Io {
+            file,
+            op,
+            write,
+            transient,
+        })
+    }
+
+    fn charge(&mut self, file: FileId, offset: u64, len: u64) -> Micros {
+        if len == 0 {
+            return Micros::ZERO;
+        }
+        let mut total = Micros::ZERO;
+        for block in offset / BLOCK_SIZE..=(offset + len - 1) / BLOCK_SIZE {
+            let prev = self.last_block.and_then(|(f, b)| (f == file).then_some(b));
+            total += self.device.block_latency(block, prev);
+            self.last_block = Some((file, block));
+        }
+        total
+    }
+
+    fn read(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+    ) -> Result<(Vec<u8>, Micros), FileStoreError> {
+        let size = self.data(file)?.len() as u64;
+        if offset.checked_add(len).is_none_or(|end| end > size) {
+            return Err(FileStoreError::OutOfRange {
+                file,
+                offset,
+                len,
+                size,
+            });
+        }
+        self.inject(false, file, offset, len)?;
+        let bytes = self.data(file)?[offset as usize..(offset + len) as usize].to_vec();
+        self.reads += 1;
+        Ok((bytes, self.charge(file, offset, len)))
+    }
+
+    fn write(&mut self, file: FileId, offset: u64, buf: &[u8]) -> Result<Micros, FileStoreError> {
+        let size = self.data(file)?.len() as u64;
+        let len = buf.len() as u64;
+        let Some(end) = offset.checked_add(len) else {
+            return Err(FileStoreError::OutOfRange {
+                file,
+                offset,
+                len,
+                size,
+            });
+        };
+        self.inject(true, file, offset, len)?;
+        let data = &mut self.files[file.as_u32() as usize];
+        if end as usize > data.len() {
+            data.resize(end as usize, 0);
+        }
+        data[offset as usize..end as usize].copy_from_slice(buf);
+        self.writes += 1;
+        Ok(self.charge(file, offset, len))
+    }
+
+    /// A page read is the byte read of what lies in the block, zero-padded.
+    fn read_page(
+        &mut self,
+        file: FileId,
+        offset: u64,
+    ) -> Result<(Vec<u8>, Micros), FileStoreError> {
+        let size = self.data(file)?.len() as u64;
+        let (mut bytes, latency) =
+            self.read(file, offset, BLOCK_SIZE.min(size.saturating_sub(offset)))?;
+        bytes.resize(BLOCK_SIZE as usize, 0);
+        Ok((bytes, latency))
+    }
+}
+
+/// Applies `ops` to a block store and the dense model, comparing every
+/// result, error, latency and counter after each step, and every file's
+/// bytes through a fault-free clone of the store. Pages handed to or
+/// returned by the store are held for the rest of the run, so later byte
+/// writes hit shared blocks; each held page must keep its bytes.
+fn check_file_store_against_model(ops: &[FileOp], plan: Option<(u64, f64, u32, u64)>) {
+    let device = Device::disk_1992();
+    let mut store = FileStore::new(device);
+    let mut model = FileModel {
+        device,
+        files: Vec::new(),
+        last_block: None,
+        op: 0,
+        faults: 0,
+        reads: 0,
+        writes: 0,
+        plan: None,
+    };
+    let mut pages: Vec<(Page, Vec<u8>)> = Vec::new();
+    if let Some((seed, rate, dead_file, dead_block)) = plan {
+        let dead_file = FileId::from_raw(dead_file);
+        store.set_fault_plan(
+            FaultPlan::new(seed)
+                .with_rule(FaultRule::transient(rate))
+                .with_rule(
+                    FaultRule::permanent()
+                        .on_file(dead_file)
+                        .on_blocks(dead_block, dead_block + 1),
+                ),
+        );
+        model.plan = Some(ModelPlan {
+            rng: Rng::seed_from(seed),
+            rate,
+            dead_file,
+            dead_block,
+        });
+    }
+    for op in ops {
+        match *op {
+            FileOp::Create { size } => {
+                let id = store.create("f", size);
+                assert_eq!(id.as_u32() as usize, model.files.len());
+                model.files.push(vec![0; size]);
+            }
+            FileOp::CreateWith { len, seed } => {
+                let id = store.create_with("f", pattern(len, seed));
+                assert_eq!(id.as_u32() as usize, model.files.len());
+                model.files.push(pattern(len, seed));
+            }
+            FileOp::Read { file, offset, len } => {
+                let id = FileId::from_raw(file as u32);
+                let mut buf = vec![0u8; len];
+                let got = store.read(id, offset, &mut buf).map(|l| (buf, l));
+                assert_eq!(got, model.read(id, offset, len as u64), "{op:?}");
+            }
+            FileOp::Write {
+                file,
+                offset,
+                len,
+                seed,
+            } => {
+                let id = FileId::from_raw(file as u32);
+                let buf = pattern(len, seed);
+                assert_eq!(
+                    store.write(id, offset, &buf),
+                    model.write(id, offset, &buf),
+                    "{op:?}"
+                );
+            }
+            FileOp::ReadPage { file, block } => {
+                let id = FileId::from_raw(file as u32);
+                let offset = block * BLOCK_SIZE;
+                let got = store.read_page(id, offset).map(|(page, l)| {
+                    let bytes = page_bytes(&page).to_vec();
+                    pages.push((page, bytes.clone()));
+                    (bytes, l)
+                });
+                assert_eq!(got, model.read_page(id, offset), "{op:?}");
+            }
+            FileOp::WritePage { file, block, seed } => {
+                let id = FileId::from_raw(file as u32);
+                let offset = block * BLOCK_SIZE;
+                let bytes = pattern(BLOCK_SIZE as usize, seed);
+                let page: Page =
+                    (seed != 0).then(|| std::sync::Arc::new(bytes.clone().try_into().unwrap()));
+                pages.push((page.clone(), bytes.clone()));
+                assert_eq!(
+                    store.write_page(id, offset, page),
+                    model.write(id, offset, &bytes),
+                    "{op:?}"
+                );
+            }
+        }
+        assert_eq!(store.op_index(), model.op);
+        assert_eq!(store.fault_count(), model.faults);
+        assert_eq!(store.read_count(), model.reads);
+        assert_eq!(store.write_count(), model.writes);
+        let mut clean = store.clone();
+        clean.clear_fault_plan();
+        for (i, data) in model.files.iter().enumerate() {
+            let id = FileId::from_raw(i as u32);
+            assert_eq!(clean.size(id), Ok(data.len() as u64));
+            let mut buf = vec![0u8; data.len()];
+            clean.read(id, 0, &mut buf).unwrap();
+            assert!(buf == *data, "file {i} bytes diverge after {op:?}");
+        }
+        for (page, bytes) in &pages {
+            assert!(
+                page_bytes(page)[..] == bytes[..],
+                "a held page changed after {op:?}"
+            );
+        }
+        let ghost = FileId::from_raw(model.files.len() as u32);
+        assert_eq!(store.size(ghost), Err(FileStoreError::UnknownFile(ghost)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sparse block store behaves exactly like a dense byte vector per
+    /// file: same bytes, sizes, errors, latencies, op indices and counters.
+    #[test]
+    fn file_store_matches_dense_model(ops in proptest::collection::vec(file_op(), 1..60)) {
+        check_file_store_against_model(&ops, None);
+    }
+
+    /// The same, under a fault plan: page calls consume the same op index
+    /// and fault roll as the byte calls they stand for.
+    #[test]
+    fn file_store_matches_dense_model_under_faults(
+        ops in proptest::collection::vec(file_op(), 1..60),
+        seed in any::<u64>(),
+        rate in 0.0f64..0.4,
+        dead_file in 0u32..3,
+        dead_block in 0u64..6,
+    ) {
+        check_file_store_against_model(&ops, Some((seed, rate, dead_file, dead_block)));
     }
 }

@@ -1,11 +1,15 @@
 //! Property-based tests of the kernel invariants in DESIGN.md §6:
-//! frame conservation, translation soundness, copy-on-write isolation and
-//! flag-operation algebra, under randomly generated operation sequences.
+//! frame conservation, translation soundness, copy-on-write isolation,
+//! flag-operation algebra and frame-table page sharing, under randomly
+//! generated operation sequences.
 
+use epcm::core::frame::FrameTable;
 use epcm::core::kernel::{AccessOutcome, Kernel};
 use epcm::core::{
-    AccessKind, FaultKind, KernelError, PageFlags, PageNumber, SegmentId, SegmentKind, UserId,
+    AccessKind, FaultKind, FrameId, KernelError, PageFlags, PageNumber, SegmentId, SegmentKind,
+    UserId, BASE_PAGE_SIZE,
 };
+use epcm::sim::disk::page_bytes;
 use proptest::prelude::*;
 
 const FRAMES: usize = 64;
@@ -300,4 +304,105 @@ fn errors_do_not_corrupt() {
         )
         .is_err());
     assert_conservation(&kernel);
+}
+
+/// A randomly generated frame-table operation.
+#[derive(Debug, Clone)]
+enum FrameOp {
+    Write {
+        frame: u32,
+        offset: usize,
+        len: usize,
+        byte: u8,
+    },
+    FullWrite {
+        frame: u32,
+        byte: u8,
+    },
+    Zero {
+        frame: u32,
+    },
+    Copy {
+        src: u32,
+        dst: u32,
+    },
+    /// Moves `src`'s page to `dst` through `page`/`set_page`.
+    SetPage {
+        src: u32,
+        dst: u32,
+    },
+}
+
+const TABLE_FRAMES: u32 = 6;
+
+fn frame_op_strategy() -> impl Strategy<Value = FrameOp> {
+    let page = BASE_PAGE_SIZE as usize;
+    prop_oneof![
+        (0..TABLE_FRAMES, 0..page, 0usize..64, any::<u8>()).prop_map(
+            move |(frame, offset, len, byte)| FrameOp::Write {
+                frame,
+                offset,
+                len: len.min(page - offset),
+                byte,
+            }
+        ),
+        (0..TABLE_FRAMES, any::<u8>()).prop_map(|(frame, byte)| FrameOp::FullWrite { frame, byte }),
+        (0..TABLE_FRAMES).prop_map(|frame| FrameOp::Zero { frame }),
+        (0..TABLE_FRAMES, 0..TABLE_FRAMES).prop_map(|(src, dst)| FrameOp::Copy { src, dst }),
+        (0..TABLE_FRAMES, 0..TABLE_FRAMES).prop_map(|(src, dst)| FrameOp::SetPage { src, dst }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Frames that share a page by copy or `set_page` never alias: after
+    /// any sequence, every frame holds exactly the bytes a dense model
+    /// says, and a frame is materialised only if its model bytes came from
+    /// a write (zeroed and never-written pages stay unallocated).
+    #[test]
+    fn shared_frame_pages_never_alias(ops in proptest::collection::vec(frame_op_strategy(), 1..80)) {
+        let page = BASE_PAGE_SIZE as usize;
+        let mut table = FrameTable::new(TABLE_FRAMES as usize);
+        let mut bytes = vec![vec![0u8; page]; TABLE_FRAMES as usize];
+        let mut written = vec![false; TABLE_FRAMES as usize];
+        for op in &ops {
+            match *op {
+                FrameOp::Write { frame, offset, len, byte } => {
+                    table.write(FrameId::from_raw(frame), offset, &vec![byte; len]);
+                    bytes[frame as usize][offset..offset + len].fill(byte);
+                    written[frame as usize] = true;
+                }
+                FrameOp::FullWrite { frame, byte } => {
+                    table.write(FrameId::from_raw(frame), 0, &vec![byte; page]);
+                    bytes[frame as usize].fill(byte);
+                    written[frame as usize] = true;
+                }
+                FrameOp::Zero { frame } => {
+                    table.zero(FrameId::from_raw(frame));
+                    bytes[frame as usize].fill(0);
+                    written[frame as usize] = false;
+                }
+                FrameOp::Copy { src, dst } => {
+                    table.copy(FrameId::from_raw(src), FrameId::from_raw(dst));
+                    bytes[dst as usize] = bytes[src as usize].clone();
+                    written[dst as usize] = written[src as usize];
+                }
+                FrameOp::SetPage { src, dst } => {
+                    let shared = table.page(FrameId::from_raw(src)).clone();
+                    table.set_page(FrameId::from_raw(dst), shared);
+                    bytes[dst as usize] = bytes[src as usize].clone();
+                    written[dst as usize] = written[src as usize];
+                }
+            }
+            for f in 0..TABLE_FRAMES {
+                let id = FrameId::from_raw(f);
+                let mut buf = vec![0u8; page];
+                table.read(id, 0, &mut buf);
+                prop_assert!(buf == bytes[f as usize], "frame {} diverges after {:?}", f, op);
+                prop_assert_eq!(page_bytes(table.page(id))[..], bytes[f as usize][..]);
+                prop_assert_eq!(table.frame(id).is_materialised(), written[f as usize]);
+            }
+        }
+    }
 }
