@@ -141,6 +141,10 @@ impl SegmentManager for ChaoticManager {
         self.inner.reclaim(env, count)
     }
 
+    fn pool_frames_seized(&mut self, env: &mut Env<'_>, pool: SegmentId, slots: &[PageNumber]) {
+        self.inner.pool_frames_seized(env, pool, slots);
+    }
+
     fn segment_closed(
         &mut self,
         env: &mut Env<'_>,
@@ -169,7 +173,7 @@ impl SegmentManager for ChaoticManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epcm_core::types::{AccessKind, SegmentKind, UserId};
+    use epcm_core::types::{AccessKind, SegmentKind, UserId, BASE_PAGE_SIZE};
     use epcm_core::watchdog::WatchdogConfig;
     use epcm_sim::clock::Micros;
     use epcm_sim::cost::CostModel;
@@ -287,6 +291,47 @@ mod tests {
         assert_eq!(counts.get("forced_reclaim"), Some(&1), "{counts:?}");
         assert!(m.spcm().granted_to(chaotic) < held_before);
         assert_eq!(frames_total(&m), 128, "no stranded frames");
+    }
+
+    #[test]
+    fn forced_seizure_of_laundry_slots_keeps_the_manager_working() {
+        // The chaotic manager's free pool is all laundry when the machine
+        // seizes part of it by force; the manager must forget the seized
+        // slots, or its drop path hands out a slot that has no frame.
+        let mut m = Machine::new(160);
+        let heir = m.register_manager(Box::new(DefaultSegmentManager::server()));
+        m.set_default_manager(heir);
+        let chaotic = m.register_manager(Box::new(ChaoticManager::server(0)));
+        let seg = m
+            .create_segment_with(SegmentKind::Anonymous, 400, chaotic, UserId::SYSTEM)
+            .unwrap();
+        let stamp = |p: u64| {
+            let mut b = [0u8; 16];
+            b[..8].copy_from_slice(&p.to_le_bytes());
+            b[8..].copy_from_slice(&(!p).to_le_bytes());
+            b
+        };
+        for p in 0..200 {
+            m.store_bytes(seg, p * BASE_PAGE_SIZE, &stamp(p)).unwrap();
+        }
+        m.tick().unwrap();
+        m.spcm_mut().set_revocation_config(RevocationConfig {
+            grace: Micros::ZERO,
+            max_strikes: 100,
+            ..RevocationConfig::default()
+        });
+        inject(&mut m, chaotic, ChaosEvent::Byzantine);
+        m.revoke(chaotic, 16).unwrap();
+        assert!(m.manager(chaotic).is_some());
+        for p in 200..400 {
+            m.store_bytes(seg, p * BASE_PAGE_SIZE, &stamp(p)).unwrap();
+        }
+        let mut buf = [0u8; 16];
+        for p in 0..400 {
+            m.load(seg, p * BASE_PAGE_SIZE, &mut buf).unwrap();
+            assert_eq!(buf, stamp(p), "page {p} lost its data");
+        }
+        assert_eq!(frames_total(&m), 160, "no stranded frames");
     }
 
     #[test]

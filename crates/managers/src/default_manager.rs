@@ -270,20 +270,9 @@ pub struct DefaultSegmentManager {
     free_seg: Option<SegmentId>,
     managed: BTreeMap<u32, ManagedSegment>,
     policy: ClockPolicy,
-    /// Reclaimed pages whose frames still sit (data intact) in the free
-    /// segment: `(segment, page) -> free-segment slot` plus an insertion
-    /// sequence number. FIFO reuse order via `laundry_order`; an order
-    /// entry whose sequence no longer matches the map's is a tombstone
-    /// left behind by a re-insert (the page was rescued, re-dirtied and
-    /// reclaimed again) and is skipped on pop.
-    laundry: BTreeMap<(u32, u64), LaundrySlot>,
-    laundry_order: VecDeque<((u32, u64), u64)>,
-    laundry_seq: u64,
-    /// Incremental mirror of `laundry.values()` as slot -> entry count,
-    /// so the free-slot picker and the append-run scanner check "is this
-    /// slot keeping laundry alive?" in O(log n) instead of rebuilding a
-    /// set from the whole map on every fault.
-    laundry_slot_counts: BTreeMap<u64, usize>,
+    /// Reclaimed pages whose data still sits in a free-pool slot, and the
+    /// page of every async writeback still in flight.
+    laundry: Laundry,
     /// Cursor for the sampling sweep.
     sample_cursor: (u32, u64),
     /// Dirty pages pinned in place after their writeback target died:
@@ -298,13 +287,6 @@ pub struct DefaultSegmentManager {
     zram_stats: CompressStats,
     /// The asynchronous laundry pipeline (idle in synchronous mode).
     wb: WritebackPipeline,
-    /// Laundry entries whose writeback is still in flight ("promised
-    /// free but not yet clean"): `(segment, page) -> (ticket, slot)`.
-    /// Always a subset of `laundry`; consumers that would clobber the
-    /// slot's frame must stall to the ticket's completion first.
-    unclean: BTreeMap<(u32, u64), (TicketId, PageNumber)>,
-    /// Reverse index of `unclean` for completion-time lookup.
-    unclean_by_ticket: BTreeMap<TicketId, (u32, u64)>,
     wb_stats: WritebackStats,
     /// Batched-ABI submission ring; empty between handler runs (every
     /// enqueue site flushes before returning).
@@ -322,21 +304,105 @@ pub struct DefaultSegmentManager {
     /// ladder off. Entries for pages that leave residency or reach DRAM
     /// on their own are pruned lazily during the tick scan.
     heat: BTreeMap<(u32, u64), u64>,
-    /// Ticket -> page map for in-flight writebacks, maintained only with
-    /// the promotion ladder on, so a completion can heat its page even
-    /// after a laundry rescue cleared the `unclean` mark.
-    wb_keys: BTreeMap<TicketId, (SegmentId, PageNumber)>,
     promo_stats: PromotionStats,
     tracer: Option<SharedTracer>,
 }
 
-/// One laundry mapping: the free-segment slot holding the data and the
-/// insertion sequence number that distinguishes it from tombstoned
-/// `laundry_order` entries for the same key.
-#[derive(Debug, Clone, Copy)]
-struct LaundrySlot {
-    slot: PageNumber,
+/// A managed page: `(segment, page)`.
+type PageKey = (SegmentId, PageNumber);
+
+/// The manager's laundry: reclaimed pages whose data still sits, intact,
+/// in a free-pool slot, so a refault migrates the frame straight back
+/// without I/O until the slot is reused (the paper's rescue trick).
+/// Indexed by slot, so "does this slot keep laundry alive?" is a lookup.
+#[derive(Debug, Default)]
+struct Laundry {
+    /// Per free-pool slot, the page whose data the slot holds.
+    slots: Vec<Option<LaundryEntry>>,
+    /// Page -> slot, for rescues.
+    by_page: BTreeMap<PageKey, PageNumber>,
+    /// Page of every issued async writeback not yet completed. Outlives
+    /// the page's entry, so a completion can heat a rescued page.
+    tickets: BTreeMap<TicketId, PageKey>,
+    /// Insertion counter: the drop path evicts the lowest.
     seq: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LaundryEntry {
+    page: PageKey,
+    seq: u64,
+    /// The writeback still in flight for this copy ("promised free but
+    /// not yet clean"): consumers that clobber the slot stall on it.
+    ticket: Option<TicketId>,
+}
+
+impl Laundry {
+    /// Records `page`'s data surviving in the empty `slot`, replacing any
+    /// older entry for the page.
+    fn insert(&mut self, page: PageKey, slot: PageNumber, ticket: Option<TicketId>) {
+        self.remove(page);
+        let i = slot.as_u64() as usize;
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, None);
+        }
+        debug_assert!(self.slots[i].is_none(), "slot {i} already holds laundry");
+        self.seq += 1;
+        self.slots[i] = Some(LaundryEntry {
+            page,
+            seq: self.seq,
+            ticket,
+        });
+        self.by_page.insert(page, slot);
+    }
+
+    /// Removes `page`'s entry, returning the slot that held it. Its
+    /// writeback, if any, still bills at completion.
+    fn remove(&mut self, page: PageKey) -> Option<PageNumber> {
+        let slot = self.by_page.remove(&page)?;
+        self.slots[slot.as_u64() as usize] = None;
+        Some(slot)
+    }
+
+    /// Removes the entry held by `slot`, returning its page.
+    fn drop_slot(&mut self, slot: PageNumber) -> Option<PageKey> {
+        let page = self.at(slot)?.page;
+        self.remove(page);
+        Some(page)
+    }
+
+    /// The entry held by `slot`.
+    fn at(&self, slot: PageNumber) -> Option<&LaundryEntry> {
+        self.slots.get(slot.as_u64() as usize)?.as_ref()
+    }
+
+    /// The slot holding the oldest entry.
+    fn oldest(&self) -> Option<PageNumber> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| Some((e.as_ref()?.seq, i)))
+            .min()
+            .map(|(_, i)| PageNumber(i as u64))
+    }
+
+    /// Notes that writeback `ticket` carries `page`'s data.
+    fn issued(&mut self, ticket: TicketId, page: PageKey) {
+        self.tickets.insert(ticket, page);
+    }
+
+    /// Retires `ticket`, returning its page. The page's entry is clean
+    /// now unless a later writeback superseded this one.
+    fn completed(&mut self, ticket: TicketId) -> Option<PageKey> {
+        let page = self.tickets.remove(&ticket)?;
+        let slot = self.by_page.get(&page).map(|s| s.as_u64() as usize);
+        if let Some(entry) = slot.and_then(|i| self.slots[i].as_mut()) {
+            if entry.ticket == Some(ticket) {
+                entry.ticket = None;
+            }
+        }
+        Some(page)
+    }
 }
 
 impl DefaultSegmentManager {
@@ -366,25 +432,19 @@ impl DefaultSegmentManager {
             free_seg: None,
             managed: BTreeMap::new(),
             policy: ClockPolicy::new(),
-            laundry: BTreeMap::new(),
-            laundry_order: VecDeque::new(),
-            laundry_seq: 0,
-            laundry_slot_counts: BTreeMap::new(),
+            laundry: Laundry::default(),
             sample_cursor: (0, 0),
             quarantined: BTreeSet::new(),
             stats: DefaultManagerStats::default(),
             io_stats: IoRetryStats::default(),
             zram_stats: CompressStats::default(),
             wb,
-            unclean: BTreeMap::new(),
-            unclean_by_ticket: BTreeMap::new(),
             wb_stats: WritebackStats::default(),
             sq: SubmissionRing::with_capacity(ring_cap),
             cq: CompletionRing::with_capacity(ring_cap),
             ring_token: 0,
             ring_submitted: 0,
             heat: BTreeMap::new(),
-            wb_keys: BTreeMap::new(),
             promo_stats: PromotionStats::default(),
             tracer: None,
         }
@@ -610,65 +670,6 @@ impl DefaultSegmentManager {
         }
     }
 
-    /// Records `key`'s data surviving in free-segment `slot`. Inserting
-    /// over an existing key releases the old slot and bumps the sequence
-    /// number, turning the old `laundry_order` entry into a tombstone
-    /// that [`Self::oldest_live_laundry`] skips — the pop path can never
-    /// mis-treat the stale entry as live.
-    fn laundry_insert(&mut self, key: (u32, u64), slot: PageNumber) {
-        self.laundry_seq += 1;
-        let seq = self.laundry_seq;
-        if let Some(old) = self.laundry.insert(key, LaundrySlot { slot, seq }) {
-            self.laundry_slot_released(old.slot);
-        }
-        self.laundry_order.push_back((key, seq));
-        *self.laundry_slot_counts.entry(slot.as_u64()).or_insert(0) += 1;
-    }
-
-    /// Removes a laundry entry, keeping the slot-count mirror in sync and
-    /// clearing any in-flight writeback mark (the frame is leaving the
-    /// pool's custody; the ticket itself still bills at completion).
-    fn laundry_remove(&mut self, key: &(u32, u64)) -> Option<PageNumber> {
-        let entry = self.laundry.remove(key)?;
-        self.laundry_slot_released(entry.slot);
-        if let Some((ticket, _)) = self.unclean.remove(key) {
-            self.unclean_by_ticket.remove(&ticket);
-        }
-        Some(entry.slot)
-    }
-
-    /// The oldest laundry key whose order entry is still live, discarding
-    /// tombstones (entries superseded by a re-insert) from the front of
-    /// the order queue. The returned key stays at the queue front.
-    fn oldest_live_laundry(&mut self) -> Option<(u32, u64)> {
-        while let Some(&(key, seq)) = self.laundry_order.front() {
-            if self.laundry.get(&key).is_some_and(|e| e.seq == seq) {
-                return Some(key);
-            }
-            self.laundry_order.pop_front();
-        }
-        None
-    }
-
-    /// Marks `key`'s laundry slot as promised-free but not yet clean:
-    /// its writeback `ticket` is still in flight. A re-evict of the same
-    /// key supersedes the old mark (the old ticket still bills).
-    fn register_unclean(&mut self, key: (u32, u64), ticket: TicketId, slot: PageNumber) {
-        if let Some((old, _)) = self.unclean.insert(key, (ticket, slot)) {
-            self.unclean_by_ticket.remove(&old);
-        }
-        self.unclean_by_ticket.insert(ticket, key);
-    }
-
-    fn laundry_slot_released(&mut self, slot: PageNumber) {
-        if let Some(n) = self.laundry_slot_counts.get_mut(&slot.as_u64()) {
-            *n -= 1;
-            if *n == 0 {
-                self.laundry_slot_counts.remove(&slot.as_u64());
-            }
-        }
-    }
-
     /// Takes one free slot, evicting the oldest laundry entry if every
     /// free frame is acting as a laundry page.
     fn take_free_slot(&mut self, env: &mut Env<'_>) -> Result<PageNumber, ManagerError> {
@@ -679,40 +680,42 @@ impl DefaultSegmentManager {
             .segment(free_seg)?
             .resident()
             .map(|(p, _)| p)
-            .find(|p| !self.laundry_slot_counts.contains_key(&p.as_u64()));
+            .find(|&p| self.laundry.at(p).is_none());
         if let Some(p) = pick {
             return Ok(p);
         }
-        // All free frames hold laundry: evict the oldest live mapping.
-        // Its clean copy is already on the store (written at reclaim
-        // time), so no data is lost — but an in-flight writeback must
-        // finish before the frame's bytes are clobbered, and the evicted
-        // rescue opportunity is traced and counted, never silent.
-        while let Some(key) = self.oldest_live_laundry() {
-            self.laundry_order.pop_front();
-            self.stall_until_clean(env, key);
-            if let Some(slot) = self.laundry_remove(&key) {
-                self.wb_stats.laundry_dropped += 1;
-                self.trace(
-                    env.kernel,
-                    EventKind::LaundryEvicted {
-                        manager: self.id.0,
-                        segment: key.0 as u64,
-                        page: key.1,
-                    },
-                );
-                return Ok(slot);
-            }
-        }
-        Err(ManagerError::OutOfFrames { manager: self.id })
+        // All free frames hold laundry: evict the oldest mapping. Its
+        // clean copy is already on the store (written at reclaim time),
+        // so no data is lost — but an in-flight writeback must finish
+        // before the frame's bytes are clobbered, and the evicted rescue
+        // opportunity is traced and counted, never silent.
+        let Some(slot) = self.laundry.oldest() else {
+            return Err(ManagerError::OutOfFrames { manager: self.id });
+        };
+        let (seg, page) = self
+            .drop_slot_laundry(env, slot)
+            .expect("the oldest slot holds laundry");
+        self.wb_stats.laundry_dropped += 1;
+        self.trace(
+            env.kernel,
+            EventKind::LaundryEvicted {
+                manager: self.id.0,
+                segment: seg.as_u32() as u64,
+                page: page.as_u64(),
+            },
+        );
+        Ok(slot)
     }
 
-    /// If `key`'s laundry writeback is still in flight, waits (charging
-    /// the kernel clock) until its disk reservation completes, then
-    /// drains due completions. Callers invoke this before reusing or
-    /// clobbering a promised-free frame.
-    fn stall_until_clean(&mut self, env: &mut Env<'_>, key: (u32, u64)) {
-        if let Some(&(ticket, _)) = self.unclean.get(&key) {
+    /// Drops the laundry entry held by free-pool `slot`, if any, before
+    /// the slot's frame is reused, clobbered or handed back. An in-flight
+    /// writeback is waited for first (charging the kernel clock), so the
+    /// clean copy is on the store; then due completions are drained.
+    /// Laundered data was already written back at reclaim time, so
+    /// nothing is lost but the no-I/O rescue opportunity.
+    fn drop_slot_laundry(&mut self, env: &mut Env<'_>, slot: PageNumber) -> Option<PageKey> {
+        let entry = *self.laundry.at(slot)?;
+        if let Some(ticket) = entry.ticket {
             let now = env.kernel.now();
             if let Some(done) = self.wb.force_completion_time(now, ticket) {
                 let wait = done.saturating_duration_since(now);
@@ -724,6 +727,7 @@ impl DefaultSegmentManager {
             }
         }
         self.drain_writebacks(env);
+        self.laundry.drop_slot(slot)
     }
 
     /// Books one writeback completion: bills its service time and market
@@ -734,15 +738,12 @@ impl DefaultSegmentManager {
         self.wb_stats.completed += 1;
         self.wb_stats.billed_us += service.as_micros();
         env.spcm.charge_manager_io(self.id, 1);
-        if let Some(key) = self.unclean_by_ticket.remove(&ticket) {
-            self.unclean.remove(&key);
-        }
         // Promotion heat from the completion ring: a page that is
         // re-resident below DRAM by the time its writeback completes was
         // rescued while the disk was still in flight — it is cycling,
         // the strongest re-reference signal the event stream carries.
-        if let Some((s, p)) = self.wb_keys.remove(&ticket) {
-            self.note_heat(env.kernel, s, p);
+        if let Some((seg, page)) = self.laundry.completed(ticket) {
+            self.note_heat(env.kernel, seg, page);
         }
         self.trace(
             env.kernel,
@@ -1124,11 +1125,7 @@ impl DefaultSegmentManager {
             PageFlags::RW,
             PageFlags::DIRTY | PageFlags::REFERENCED | PageFlags::MANAGER_B,
         )?;
-        let key = (seg.as_u32(), page.as_u64());
-        self.laundry_insert(key, slot);
-        if let Some(t) = ticket {
-            self.register_unclean(key, t, slot);
-        }
+        self.laundry.insert((seg, page), slot, ticket);
         self.stats.reclaimed += 1;
         Ok(true)
     }
@@ -1155,14 +1152,11 @@ impl DefaultSegmentManager {
             // A slot whose laundry writeback is still in flight is not
             // clobberable without stalling on the disk; prefer any other
             // partner outright.
-            if self
-                .unclean
-                .values()
-                .any(|&(_, s)| s.as_u64() == p.as_u64())
-            {
+            let laundry = self.laundry.at(p);
+            if laundry.is_some_and(|e| e.ticket.is_some()) {
                 continue;
             }
-            let laundered = self.laundry_slot_counts.contains_key(&p.as_u64());
+            let laundered = laundry.is_some();
             let score = u32::from(laundered) * 2 + u32::from(tier != MemTier::SlowMem);
             if score == 0 {
                 return Some((p, e.frame, tier));
@@ -1258,25 +1252,6 @@ impl DefaultSegmentManager {
         Ok(demoted)
     }
 
-    /// Drops every laundry entry held by free-pool `slot` before its
-    /// bytes are clobbered by a tier exchange: an in-flight writeback
-    /// completes first (the clean copy must land on the store), then the
-    /// rescue mapping is removed — laundered data was already written
-    /// back at reclaim time, so nothing is lost but the no-I/O rescue
-    /// opportunity.
-    fn drop_slot_laundry(&mut self, env: &mut Env<'_>, slot: PageNumber) {
-        let stale: Vec<(u32, u64)> = self
-            .laundry
-            .iter()
-            .filter(|(_, e)| e.slot.as_u64() == slot.as_u64())
-            .map(|(key, _)| *key)
-            .collect();
-        for key in stale {
-            self.stall_until_clean(env, key);
-            self.laundry_remove(&key);
-        }
-    }
-
     /// Picks a free-pool slot whose frame is DRAM as the promotion
     /// exchange partner — the mirror of [`Self::demotion_target`].
     /// Laundry-free slots are preferred over laundered ones (the
@@ -1294,15 +1269,10 @@ impl DefaultSegmentManager {
             if tiers.tier_of(e.frame) != MemTier::Dram {
                 continue;
             }
-            if self
-                .unclean
-                .values()
-                .any(|&(_, s)| s.as_u64() == p.as_u64())
-            {
-                continue;
-            }
-            if !self.laundry_slot_counts.contains_key(&p.as_u64()) {
-                return Some((p, e.frame));
+            match self.laundry.at(p) {
+                None => return Some((p, e.frame)),
+                Some(laundry) if laundry.ticket.is_some() => continue,
+                Some(_) => {}
             }
             if fallback.is_none() {
                 fallback = Some((p, e.frame));
@@ -1588,9 +1558,7 @@ impl DefaultSegmentManager {
         };
         let service = env.kernel.costs().page_copy_4k + latency;
         let ticket = self.wb.submit(env.kernel.now(), service);
-        if self.promotion_on() {
-            self.wb_keys.insert(ticket, (seg, page));
-        }
+        self.laundry.issued(ticket, (seg, page));
         self.trace(
             env.kernel,
             EventKind::WritebackIssued {
@@ -1613,32 +1581,25 @@ impl DefaultSegmentManager {
         let page = fault.page;
         let free_seg = self.free_seg(env)?;
 
-        // Laundry rescue: the frame is still intact in the free pool. A
-        // forced SPCM seizure may have taken the frame out from under the
-        // map, so verify the slot is still resident; a stale entry falls
-        // through to a normal fill.
-        let key = (seg.as_u32(), page.as_u64());
-        if let Some(slot) = self.laundry_remove(&key) {
-            if env.kernel.segment(free_seg)?.entry(slot).is_some() {
-                self.op_migrate_pages(
-                    env,
-                    free_seg,
-                    seg,
-                    slot,
-                    page,
-                    1,
-                    PageFlags::RW,
-                    PageFlags::empty(),
-                )?;
-                self.policy.note_resident(seg, page);
-                self.stats.laundry_rescues += 1;
-                self.stats.migrate_calls += 1;
-                // A rescue IS a fault-time re-reference: the page came
-                // back before its frame was reused. Heat it if it landed
-                // below DRAM.
-                self.note_heat(env.kernel, seg, page);
-                return Ok(());
-            }
+        // Laundry rescue: the frame is still intact in the free pool.
+        if let Some(slot) = self.laundry.remove((seg, page)) {
+            self.op_migrate_pages(
+                env,
+                free_seg,
+                seg,
+                slot,
+                page,
+                1,
+                PageFlags::RW,
+                PageFlags::empty(),
+            )?;
+            self.policy.note_resident(seg, page);
+            self.stats.laundry_rescues += 1;
+            self.stats.migrate_calls += 1;
+            // A rescue IS a fault-time re-reference: the page came back
+            // before its frame was reused. Heat it if it landed below DRAM.
+            self.note_heat(env.kernel, seg, page);
+            return Ok(());
         }
 
         let fill = match self.managed.get(&seg.as_u32()) {
@@ -1740,7 +1701,7 @@ impl DefaultSegmentManager {
                 self.ensure_free(env, want)?;
                 // Prefer a consecutive run of free slots so the batch is a
                 // single MigratePages invocation (the 16 KB append unit).
-                let run = find_free_run(env.kernel, free_seg, want, &self.laundry_slot_counts)?;
+                let run = find_free_run(env.kernel, free_seg, want, &self.laundry)?;
                 match run {
                     Some((start, len)) => {
                         self.op_migrate_pages(
@@ -1935,19 +1896,19 @@ fn find_free_run(
     kernel: &Kernel,
     free_seg: SegmentId,
     want: u64,
-    in_laundry: &BTreeMap<u64, usize>,
+    laundry: &Laundry,
 ) -> Result<Option<(PageNumber, u64)>, epcm_core::KernelError> {
     let s = kernel.segment(free_seg)?;
     let mut best: Option<(u64, u64)> = None; // (start, len)
     let mut run_start: Option<u64> = None;
     let mut prev: Option<u64> = None;
     for (p, _) in s.resident() {
-        let p = p.as_u64();
-        if in_laundry.contains_key(&p) {
+        if laundry.at(p).is_some() {
             run_start = None;
             prev = None;
             continue;
         }
+        let p = p.as_u64();
         match (run_start, prev) {
             (Some(start), Some(q)) if p == q + 1 => {
                 let len = p - start + 1;
@@ -2018,7 +1979,7 @@ impl SegmentManager for DefaultSegmentManager {
     }
 
     fn handle_fault(&mut self, env: &mut Env<'_>, fault: &FaultEvent) -> Result<(), ManagerError> {
-        // Completions due by now free their window slots and unclean
+        // Completions due by now free their window slots and in-flight
         // marks before the fault is dispatched.
         self.drain_writebacks(env);
         self.stats.faults += 1;
@@ -2045,17 +2006,16 @@ impl SegmentManager for DefaultSegmentManager {
             .take(count as usize)
             .collect();
         // Frames leaving our pool invalidate any laundry they hold; an
-        // in-flight writeback must finish before its frame departs.
-        let leaving: BTreeSet<u64> = give.iter().map(|p| p.as_u64()).collect();
-        let invalidated: Vec<(u32, u64)> = self
-            .laundry
+        // in-flight writeback must finish before its frame departs. Pages
+        // go in key order: a stall issues queued writebacks at the current
+        // instant, so the order can move virtual time.
+        let mut invalidated: Vec<(PageKey, PageNumber)> = give
             .iter()
-            .filter(|(_, e)| leaving.contains(&e.slot.as_u64()))
-            .map(|(key, _)| *key)
+            .filter_map(|&slot| Some((self.laundry.at(slot)?.page, slot)))
             .collect();
-        for key in invalidated {
-            self.stall_until_clean(env, key);
-            self.laundry_remove(&key);
+        invalidated.sort_unstable();
+        for (_, slot) in invalidated {
+            self.drop_slot_laundry(env, slot);
         }
         env.spcm
             .return_frames(env.kernel, self.id, free_seg, &give)?;
@@ -2068,6 +2028,14 @@ impl SegmentManager for DefaultSegmentManager {
             },
         );
         Ok(give.len() as u64)
+    }
+
+    fn pool_frames_seized(&mut self, _env: &mut Env<'_>, pool: SegmentId, slots: &[PageNumber]) {
+        if self.free_seg == Some(pool) {
+            for &slot in slots {
+                self.laundry.drop_slot(slot);
+            }
+        }
     }
 
     fn segment_closed(
@@ -2106,7 +2074,7 @@ impl SegmentManager for DefaultSegmentManager {
                 PageFlags::DIRTY | PageFlags::REFERENCED | PageFlags::MANAGER_B,
             )?;
             self.policy.note_removed(segment, p);
-            self.laundry_remove(&(segment.as_u32(), p.as_u64()));
+            self.laundry.remove((segment, p));
         }
         self.managed.remove(&segment.as_u32());
         Ok(())
@@ -2213,7 +2181,8 @@ impl SegmentManager for DefaultSegmentManager {
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use epcm_core::types::AccessKind;
+    use epcm_core::tier::TierLayout;
+    use epcm_core::types::{AccessKind, UserId};
     use epcm_sim::disk::Page;
     use std::sync::Arc;
 
@@ -2440,32 +2409,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn laundry_reinsert_tombstones_stale_order_entry() {
-        // Regression: re-inserting over an existing key used to leave a
-        // stale entry in the order queue that the free-slot path popped
-        // and mis-treated as live, dropping the newer mapping out of
-        // FIFO order.
-        let mut mgr = DefaultSegmentManager::server();
-        let a = (1u32, 0u64);
-        let b = (2u32, 5u64);
-        mgr.laundry_insert(a, PageNumber(10));
-        mgr.laundry_insert(b, PageNumber(11));
-        // `a` rescued, re-dirtied, reclaimed again into a new slot:
-        mgr.laundry_insert(a, PageNumber(12));
-        assert!(!mgr.laundry_slot_counts.contains_key(&10));
-        assert!(mgr.laundry_slot_counts.contains_key(&11));
-        assert!(mgr.laundry_slot_counts.contains_key(&12));
-        // The stale front entry for `a` is a tombstone; the oldest live
-        // mapping is `b`, then `a`'s re-insert.
-        assert_eq!(mgr.oldest_live_laundry(), Some(b));
-        mgr.laundry_order.pop_front();
-        assert_eq!(mgr.laundry_remove(&b), Some(PageNumber(11)));
-        assert_eq!(mgr.oldest_live_laundry(), Some(a));
-        mgr.laundry_order.pop_front();
-        assert_eq!(mgr.laundry_remove(&a), Some(PageNumber(12)));
-        assert_eq!(mgr.oldest_live_laundry(), None);
-        assert!(mgr.laundry_slot_counts.is_empty());
+    /// Three kernel-issued segment ids to build laundry keys from.
+    fn three_segments() -> [SegmentId; 3] {
+        let mut k = Kernel::new(1);
+        [0; 3].map(|_| {
+            k.create_segment(SegmentKind::Anonymous, UserId::SYSTEM, ManagerId(0), 1, 1)
+                .unwrap()
+        })
+    }
+
+    proptest::proptest! {
+        /// The slot-indexed laundry matches a plain list of `(page, slot,
+        /// seq, ticket)` records after every step: inserts (re-inserting
+        /// a live page into a new slot included), removals, drops by
+        /// slot, and completions of current, superseded, already-removed,
+        /// repeated and never-issued tickets.
+        #[test]
+        fn laundry_matches_reference_model(
+            ops in proptest::collection::vec((0u8..5, 0usize..6, 0u64..8, 0u64..16), 1..80),
+        ) {
+            let segs = three_segments();
+            let key = |k: usize| (segs[k % 3], PageNumber(k as u64 / 3));
+            let mut laundry = Laundry::default();
+            let mut model: Vec<(PageKey, PageNumber, u64, Option<TicketId>)> = Vec::new();
+            let mut model_tickets: Vec<(TicketId, PageKey)> = Vec::new();
+            let (mut seq, mut next_ticket): (u64, TicketId) = (0, 0);
+            for (op, k, slot, t) in ops {
+                let (page, slot) = (key(k), PageNumber(slot));
+                match op {
+                    // Evict into an empty slot, synchronously or with a
+                    // writeback in flight.
+                    0 | 1 => {
+                        if model.iter().any(|r| r.1 == slot) {
+                            continue;
+                        }
+                        let ticket = (op == 1).then(|| {
+                            next_ticket += 1;
+                            laundry.issued(next_ticket, page);
+                            model_tickets.push((next_ticket, page));
+                            next_ticket
+                        });
+                        laundry.insert(page, slot, ticket);
+                        model.retain(|r| r.0 != page);
+                        seq += 1;
+                        model.push((page, slot, seq, ticket));
+                    }
+                    2 => {
+                        let want = model.iter().find(|r| r.0 == page).map(|r| r.1);
+                        model.retain(|r| r.0 != page);
+                        proptest::prop_assert_eq!(laundry.remove(page), want);
+                    }
+                    3 => {
+                        let want = model.iter().find(|r| r.1 == slot).map(|r| r.0);
+                        model.retain(|r| r.1 != slot);
+                        proptest::prop_assert_eq!(laundry.drop_slot(slot), want);
+                    }
+                    _ => {
+                        let ticket = t % (next_ticket + 2);
+                        let want = model_tickets.iter().find(|e| e.0 == ticket).map(|e| e.1);
+                        model_tickets.retain(|e| e.0 != ticket);
+                        for r in &mut model {
+                            if r.3 == Some(ticket) {
+                                r.3 = None;
+                            }
+                        }
+                        proptest::prop_assert_eq!(laundry.completed(ticket), want);
+                    }
+                }
+                for s in 0..8 {
+                    let want = model.iter().find(|r| r.1 == PageNumber(s)).map(|r| LaundryEntry {
+                        page: r.0,
+                        seq: r.2,
+                        ticket: r.3,
+                    });
+                    proptest::prop_assert_eq!(laundry.at(PageNumber(s)).copied(), want);
+                }
+                let oldest = model.iter().min_by_key(|r| r.2).map(|r| r.1);
+                proptest::prop_assert_eq!(laundry.oldest(), oldest);
+                for k in 0..6 {
+                    let want = model.iter().find(|r| r.0 == key(k)).map(|r| r.1);
+                    proptest::prop_assert_eq!(laundry.by_page.get(&key(k)).copied(), want);
+                }
+                let tickets: Vec<(TicketId, PageKey)> =
+                    laundry.tickets.iter().map(|(&t, &p)| (t, p)).collect();
+                proptest::prop_assert_eq!(tickets, model_tickets.clone());
+            }
+        }
     }
 
     /// Overcommits a tiny machine until the free pool is wall-to-wall
@@ -2593,6 +2622,128 @@ mod tests {
         assert!(issued > 0, "async run issued no writebacks");
         assert_eq!(issued, completed, "pipeline left completions unbilled");
         assert_eq!(completed, stats.completed);
+    }
+
+    /// A tiered machine (4 DRAM frames, 60 SlowMem) whose manager cleans
+    /// laundry through a one-deep async pipeline with the promotion
+    /// ladder on; its anonymous segment holds 16 resident dirty pages, and
+    /// pages 8..16 are already evicted, their writebacks queued.
+    fn tiered_async_machine() -> (Machine, ManagerId, SegmentId) {
+        let config = DefaultManagerConfig {
+            async_writeback: true,
+            writeback_window: 1,
+            promotion_budget: 1,
+            ..DefaultManagerConfig::default()
+        };
+        let mut m = Machine::builder(64)
+            .tiers(TierLayout::new(4, 60, 0))
+            .build();
+        let id = m.register_manager(Box::new(DefaultSegmentManager::with_config(
+            ManagerMode::Server,
+            config,
+        )));
+        m.set_default_manager(id);
+        let seg = m.create_segment(SegmentKind::Anonymous, 16).unwrap();
+        for p in 0..16u64 {
+            m.store_bytes(seg, p * BASE_PAGE_SIZE, &[p as u8 + 1; 16])
+                .unwrap();
+        }
+        for p in 8..16 {
+            evict_page(&mut m, id, seg, PageNumber(p));
+        }
+        (m, id, seg)
+    }
+
+    fn with_default<R>(
+        m: &mut Machine,
+        id: ManagerId,
+        f: impl FnOnce(&mut DefaultSegmentManager, &mut Env<'_>) -> R,
+    ) -> R {
+        m.with_manager(id, |mgr, env| {
+            Ok(f(
+                mgr.as_any_mut()
+                    .downcast_mut::<DefaultSegmentManager>()
+                    .unwrap(),
+                env,
+            ))
+        })
+        .unwrap()
+    }
+
+    /// Evicts `page` into the free pool as the reclaim path would,
+    /// returning its laundry slot and writeback ticket.
+    fn evict_page(
+        m: &mut Machine,
+        id: ManagerId,
+        seg: SegmentId,
+        page: PageNumber,
+    ) -> (PageNumber, Option<TicketId>) {
+        with_default(m, id, |d, env| {
+            let free_seg = d.free_seg(env).unwrap();
+            assert!(d.evict(env, free_seg, seg, page).unwrap());
+            let slot = d.laundry.by_page[&(seg, page)];
+            (slot, d.laundry.at(slot).unwrap().ticket)
+        })
+    }
+
+    #[test]
+    fn writeback_completing_after_a_rescue_still_heats_the_page() {
+        let (mut m, id, seg) = tiered_async_machine();
+        let page = {
+            let k = m.kernel();
+            k.segment(seg)
+                .unwrap()
+                .resident()
+                .find(|(_, e)| k.tiers().tier_of(e.frame) != MemTier::Dram)
+                .map(|(p, _)| p)
+                .expect("a page below DRAM")
+        };
+        let (_, ticket) = evict_page(&mut m, id, seg, page);
+        let ticket = ticket.expect("a dirty eviction issues a writeback");
+        // Rescued while the disk is still busy: the frame comes back.
+        m.touch(seg, page.as_u64(), AccessKind::Read).unwrap();
+        let heat = with_default(&mut m, id, |d, env| {
+            assert_eq!(d.manager_stats().laundry_rescues, 1);
+            assert!(
+                d.laundry.tickets.contains_key(&ticket),
+                "written back early"
+            );
+            let before = d.promotion_stats().heat_events;
+            d.flush_writebacks(env);
+            d.promotion_stats().heat_events - before
+        });
+        assert_eq!(heat, 1, "the completion heats the rescued page");
+    }
+
+    #[test]
+    fn superseded_writeback_keeps_the_newer_one_in_flight() {
+        let (mut m, id, seg) = tiered_async_machine();
+        let page = PageNumber(0);
+        let (_, first) = evict_page(&mut m, id, seg, page);
+        // Rescued and re-dirtied, then evicted again while the first
+        // writeback is still queued.
+        m.store_bytes(seg, 0, b"again").unwrap();
+        let (slot, second) = evict_page(&mut m, id, seg, page);
+        let (first, second) = (first.unwrap(), second.unwrap());
+        with_default(&mut m, id, |d, env| {
+            assert!(d.laundry.tickets.contains_key(&first), "written back early");
+            // Let the disk run until the first writeback completes.
+            while d.laundry.tickets.contains_key(&first) {
+                env.kernel.charge(Micros::new(10));
+                d.drain_writebacks(env);
+            }
+            assert!(d.laundry.tickets.contains_key(&second));
+            assert_eq!(d.laundry.at(slot).unwrap().ticket, Some(second));
+            // Handing the whole pool back clobbers the slot, so the
+            // reclaim must wait for the second writeback.
+            let stalls = d.writeback_stats().stalls;
+            let pool = d.free_frames(env.kernel);
+            assert_eq!(d.reclaim(env, pool).unwrap(), pool);
+            assert_eq!(d.writeback_stats().stalls, stalls + 1);
+        });
+        let mut buf = [0u8; 16];
+        m.load(seg, 0, &mut buf).unwrap();
+        assert_eq!(&buf[..5], b"again");
     }
 
     #[test]

@@ -767,7 +767,7 @@ impl Machine {
                 }
                 let is_dirty = e.flags.contains(PageFlags::DIRTY);
                 if is_pool {
-                    pool.push((s, p, false, None));
+                    pool.push((s, p));
                 } else if is_dirty {
                     dirty.push((s, p, true, file));
                 } else {
@@ -775,9 +775,22 @@ impl Machine {
                 }
             }
         }
-        let mut seized = 0u64;
+        // Pool frames go first, straight home; the manager is told which
+        // slots of which pool it lost so it drops any state naming them.
+        pool.truncate(count.min(pool.len() as u64) as usize);
+        for &(s, p) in &pool {
+            self.return_home(s, p)?;
+        }
+        for taken in pool.chunk_by(|a, b| a.0 == b.0) {
+            let slots: Vec<PageNumber> = taken.iter().map(|&(_, p)| p).collect();
+            self.with_manager(manager, |m, env| {
+                m.pool_frames_seized(env, taken[0].0, &slots);
+                Ok(())
+            })?;
+        }
+        let mut seized = pool.len() as u64;
         let mut quarantined = 0u64;
-        for (s, p, is_dirty, file) in pool.into_iter().chain(clean).chain(dirty) {
+        for (s, p, is_dirty, file) in clean.into_iter().chain(dirty) {
             if seized + quarantined >= count {
                 break;
             }

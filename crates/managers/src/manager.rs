@@ -10,7 +10,7 @@ use std::fmt;
 
 use epcm_core::fault::FaultEvent;
 use epcm_core::kernel::Kernel;
-use epcm_core::types::{ManagerId, SegmentId};
+use epcm_core::types::{ManagerId, PageNumber, SegmentId};
 use epcm_sim::disk::FileStore;
 
 use crate::spcm::{SpcmError, SystemPageCacheManager};
@@ -203,6 +203,14 @@ pub trait SegmentManager: fmt::Debug {
     /// Implementations report [`ManagerError`] for kernel or store
     /// failures encountered while writing back and migrating pages.
     fn reclaim(&mut self, env: &mut Env<'_>, count: u64) -> Result<u64, ManagerError>;
+
+    /// Notification that the machine seized the frames in `slots` of the
+    /// manager's frame pool `pool` by force: the slots are empty now, so
+    /// any state naming them is stale. Charges no virtual time. Default:
+    /// ignore.
+    fn pool_frames_seized(&mut self, env: &mut Env<'_>, pool: SegmentId, slots: &[PageNumber]) {
+        let _ = (env, pool, slots);
+    }
 
     /// Notification that `segment` is being closed: write back what must
     /// survive and return its frames.
